@@ -62,10 +62,12 @@ from .roots import (
 from .verify import SUITES, VerifyReport, verify_suite
 from .errors import (
     CatalogError,
+    ConfigError,
     DegreeBoundError,
     GramSizeError,
     KregularError,
     SchemaError,
+    SoundnessError,
     ValidationFailure,
 )
 
@@ -87,7 +89,7 @@ __all__ = [
     "RestrictedRoot", "RestrictedRootDatum", "catalog_datum", "choose_x0",
     "choose_y", "construct_regular", "validate_datum", "zeta_value",
     "SUITES", "VerifyReport", "verify_suite",
-    "CatalogError", "DegreeBoundError", "GramSizeError", "KregularError",
-    "SchemaError", "ValidationFailure",
+    "CatalogError", "ConfigError", "DegreeBoundError", "GramSizeError",
+    "KregularError", "SchemaError", "SoundnessError", "ValidationFailure",
     "__version__",
 ]

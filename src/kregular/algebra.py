@@ -16,6 +16,7 @@ from .linalg import (
     Vector,
     nullspace_of,
     rank_of,
+    reduced_basis,
     vec_add,
     vec_is_zero,
     zero_vector,
@@ -147,6 +148,34 @@ def ad_matrix(alg: LieAlgebra, u: Sequence[Scalar]) -> MatrixQ:
             for k, s in terms:
                 col[k] = col[k] + ui * s
     return MatrixQ.from_columns(cols)
+
+
+def centralizer(alg: LieAlgebra, basis: Sequence, vectors: Sequence) -> list:
+    """Basis of {u in span(basis) : [u, v] = 0 for every v in vectors}.
+
+    basis must be linearly independent.  The condition is stacked for the
+    reduced echelon basis of span(vectors), and the result is the RREF
+    nullspace of that stack, so it depends only on the two spans and on
+    the order of basis.
+    """
+    vectors = reduced_basis(vectors, alg.dim)
+    if not vectors:
+        return [tuple(u) for u in basis]
+    ad_u = [ad_matrix(alg, u) for u in basis]
+    rows = []
+    for v in vectors:
+        cols = [a.matvec(v) for a in ad_u]
+        for r in range(alg.dim):
+            rows.append([col[r] for col in cols])
+    out = []
+    for coeffs in nullspace_of(MatrixQ.from_rows(rows)):
+        w = [ZERO] * alg.dim
+        for c, u in zip(coeffs, basis):
+            if c:
+                for i in range(alg.dim):
+                    w[i] = w[i] + c * u[i]
+        out.append(tuple(w))
+    return out
 
 
 def killing_pair(alg: LieAlgebra, u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:

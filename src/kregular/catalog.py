@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 
 from .algebra import CartanDecomposition, LieAlgebra, validate
-from .errors import CatalogError
+from .errors import CatalogError, SoundnessError
 from .linalg import MatrixQ
 from .scalar import ONE, ZERO, Scalar
 
@@ -116,7 +116,7 @@ def catalog_build(family: str, size: int) -> tuple:
 
     report = validate(alg, cd)
     if not report.ok:
-        raise AssertionError(
+        raise SoundnessError(
             f"catalog construction failed validation: {report.first_failure}")
     return alg, cd
 

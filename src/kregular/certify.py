@@ -24,18 +24,24 @@ from .algebra import (
     LieAlgebra,
     ad_matrix,
     bracket,
+    centralizer,
     decompose,
     killing_pair,
 )
-from .errors import DegreeBoundError, GramSizeError
+from .errors import (
+    ConfigError,
+    DegreeBoundError,
+    GramSizeError,
+    SoundnessError,
+)
 from .linalg import (
     EchelonSpan,
     MatrixQ,
     Vector,
     is_nilpotent_matrix,
     nilpotency_exponent,
-    nullspace_of,
     rank_profile,
+    reduced_basis,
     span_contains,
     vec_is_zero,
     zero_vector,
@@ -55,6 +61,9 @@ def gram_size_limit() -> int:
     raw = os.environ.get(GRAM_LIMIT_ENV)
     if raw is None:
         return DEFAULT_GRAM_LIMIT
+    if not raw.strip().isdecimal():
+        raise ConfigError(
+            f"{GRAM_LIMIT_ENV}={raw!r} is not a non-negative integer")
     return int(raw)
 
 
@@ -80,7 +89,7 @@ def generated_subalgebra(alg: LieAlgebra, cd: CartanDecomposition,
     """Iterate the filtration from span{x, y} until it stabilizes.
 
     Stabilization past dim g - 1 is a soundness bug, not an input error,
-    and trips an assertion.
+    and raises SoundnessError.
     """
     ez = decompose(cd, z)
     n = alg.dim
@@ -102,9 +111,10 @@ def generated_subalgebra(alg: LieAlgebra, cd: CartanDecomposition,
         per_degree.append(span.dim)
         frontier = new
         m += 1
-        assert m <= max(n - 1, 1), (
-            f"filtration failed to stabilize by degree {n - 1}; "
-            "this contradicts the stabilization bound and is a bug")
+        if m > max(n - 1, 1):
+            raise SoundnessError(
+                f"filtration failed to stabilize by degree {n - 1}; "
+                "this contradicts the stabilization bound and is a bug")
     return SubalgebraReport(
         basis=list(span.basis),
         dim=span.dim,
@@ -116,25 +126,7 @@ def generated_subalgebra(alg: LieAlgebra, cd: CartanDecomposition,
 def centralizer_in_k(alg: LieAlgebra, cd: CartanDecomposition,
                      report: SubalgebraReport) -> list:
     """Basis of {u in k : [u, w] = 0 for all w in g(z)}."""
-    if not report.basis:
-        return [tuple(v) for v in cd.k_basis]
-    n = alg.dim
-    ad_k = [ad_matrix(alg, u) for u in cd.k_basis]
-    rows = []
-    for w in report.basis:
-        cols = [a.matvec(w) for a in ad_k]
-        for r in range(n):
-            rows.append([cols[c][r] for c in range(len(ad_k))])
-    stacked = MatrixQ.from_rows(rows)
-    out = []
-    for coeffs in nullspace_of(stacked):
-        v = [ZERO] * n
-        for c, u in zip(coeffs, cd.k_basis):
-            if c:
-                for i in range(n):
-                    v[i] = v[i] + c * u[i]
-        out.append(tuple(v))
-    return out
+    return centralizer(alg, cd.k_basis, report.basis)
 
 
 @dataclass
@@ -244,7 +236,7 @@ def is_k_regular(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
     """Regularity certificate: Gram rank equals dim g iff g(z) = g.
 
     The Gram verdict is cross-checked against the filtration dimension;
-    disagreement would be a soundness bug and trips an assertion.
+    disagreement would be a soundness bug and raises SoundnessError.
     """
     mode = _feasible_mode(alg, override_limit)
     cert = gram_matrix(alg, cd, z, mode=mode, jobs=jobs,
@@ -252,9 +244,10 @@ def is_k_regular(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
     report = generated_subalgebra(alg, cd, z)
     gram_says = cert.rank == alg.dim
     filtration_says = report.dim == alg.dim
-    assert gram_says == filtration_says, (
-        f"Gram rank {cert.rank} and filtration dim {report.dim} disagree "
-        f"on regularity (dim g = {alg.dim}); this is a bug")
+    if gram_says != filtration_says:
+        raise SoundnessError(
+            f"Gram rank {cert.rank} and filtration dim {report.dim} disagree "
+            f"on regularity (dim g = {alg.dim}); this is a bug")
     if gram_says:
         cert.verdict = VERDICT_REGULAR
         cert.witnesses = {"minor_rows": cert.pivot_rows,
@@ -290,23 +283,29 @@ def nilcone_test(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
 
 
 def derived_series(alg: LieAlgebra, basis: Sequence) -> list:
-    """Dims of D^0 >= D^1 >= ... with D^{k+1} = span[D^k, D^k], until stable."""
+    """Dims of D^0 >= D^1 >= ... with D^{k+1} = span[D^k, D^k], until stable.
+
+    Only the spans matter, so each D^k is bracketed on the reduced echelon
+    basis of its span (see reduced_basis), whose entries stay small, not on
+    the vectors as given.  Raises ValueError if span(basis) is not closed
+    under the bracket.
+    """
     n = alg.dim
-    current = EchelonSpan(n)
-    current.extend(basis)
-    for u in current.basis:
-        for v in current.basis:
-            if not current.contains(bracket(alg, u, v)):
+    current = reduced_basis(basis, n)
+    span = EchelonSpan(n)
+    span.extend(current)
+    for u in current:
+        for v in current:
+            if not span.contains(bracket(alg, u, v)):
                 raise ValueError("basis is not closed under the bracket")
-    dims = [current.dim]
+    dims = [len(current)]
     while True:
-        nxt = EchelonSpan(n)
-        cb = current.basis
-        for i in range(len(cb)):
-            for j in range(i + 1, len(cb)):
-                nxt.add(bracket(alg, cb[i], cb[j]))
-        dims.append(nxt.dim)
-        if nxt.dim == current.dim or nxt.dim == 0:
+        nxt = reduced_basis(
+            (bracket(alg, current[i], current[j])
+             for i in range(len(current)) for j in range(i + 1, len(current))),
+            n)
+        dims.append(len(nxt))
+        if len(nxt) == len(current) or not nxt:
             return dims
         current = nxt
 

@@ -19,12 +19,14 @@ from .certify import (
     degree_bounds,
     generated_subalgebra,
     gram_matrix,
+    gram_size_limit,
     is_k_regular,
     nilcone_test,
     separation_probe,
 )
 from .errors import (
     CatalogError,
+    ConfigError,
     DegreeBoundError,
     GramSizeError,
     KregularError,
@@ -78,6 +80,10 @@ jobs_opt = click.option("--jobs", "-j", default=1, show_default=True,
 @click.group()
 def main():
     """Exact certificates for K-regularity and the K-unstable cone."""
+    try:
+        gram_size_limit()
+    except ConfigError as exc:
+        _fail_input(str(exc))
 
 
 @main.group()
@@ -313,9 +319,10 @@ def separate(algebra, file, element_path, element2_path, degree):
 @click.option("--suite", "-s", default="all", show_default=True,
               type=click.Choice(SUITES))
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--samples", default=100, show_default=True, type=int)
-@click.option("--box", default=3, show_default=True, type=int,
-              help="sampling box half-width")
+@click.option("--samples", default=100, show_default=True,
+              type=click.IntRange(min=1))
+@click.option("--box", default=3, show_default=True,
+              type=click.IntRange(min=0), help="sampling box half-width")
 @click.option("--csv", "csv_out", is_flag=True, help="emit a CSV summary")
 @click.option("--datum", "datum_path", default=None, type=click.Path())
 @jobs_opt

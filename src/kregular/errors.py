@@ -29,3 +29,15 @@ class GramSizeError(KregularError, ValueError):
 
 class DegreeBoundError(KregularError, ValueError):
     """A word-pair degree exceeds the invariant degree bound."""
+
+
+class SoundnessError(KregularError):
+    """An internal consistency check failed: a bug, not an input error.
+
+    Raised instead of an assert, so that the check also runs under
+    python -O.
+    """
+
+
+class ConfigError(KregularError, ValueError):
+    """An environment setting is malformed."""

@@ -262,6 +262,18 @@ def _rref(rows: list, ncols: int) -> tuple:
     return r, pivots
 
 
+def reduced_basis(vectors: Iterable, dim: int) -> list:
+    """Reduced row echelon rows of span(vectors).
+
+    The rows are fixed by the span alone, not by the spanning vectors, and
+    their entries stay small: a spanning set of the whole space reduces to
+    the identity basis.  Use it where only the span matters.
+    """
+    rows = [list(v) for v in vectors]
+    rank, _ = _rref(rows, dim)
+    return [tuple(r) for r in rows[:rank]]
+
+
 def nullspace_of(m: MatrixQ) -> list:
     """Basis of the right nullspace; empty iff rank = cols."""
     rows = m.row_list()

@@ -18,16 +18,16 @@ from .algebra import (
     LieAlgebra,
     ValidationReport,
     bracket,
+    centralizer,
     decompose,
     killing_pair,
 )
 from .catalog import matrix_index
-from .errors import CatalogError, ValidationFailure
+from .errors import CatalogError, SoundnessError, ValidationFailure
 from .linalg import (
     EchelonSpan,
     MatrixQ,
     Vector,
-    nullspace_of,
     solve_in_span,
     span_contains,
     vec_add,
@@ -111,30 +111,6 @@ def catalog_datum(alg: LieAlgebra, cd: CartanDecomposition) -> RestrictedRootDat
         a_basis=a_basis, hm_basis=(), roots=tuple(roots), positive=tuple(positive))
 
 
-def _centralizer_of_a_in_k(alg, cd, datum) -> list:
-    """Basis of m = {u in k : [u, a] = 0}."""
-    if not cd.k_basis:
-        return []
-    rows = []
-    from .algebra import ad_matrix
-
-    ad_k = [ad_matrix(alg, u) for u in cd.k_basis]
-    for h in datum.a_basis:
-        cols = [a.matvec(h) for a in ad_k]
-        for r in range(alg.dim):
-            rows.append([-cols[c][r] for c in range(len(ad_k))])
-    stacked = MatrixQ.from_rows(rows)
-    out = []
-    for coeffs in nullspace_of(stacked):
-        v = [ZERO] * alg.dim
-        for c, u in zip(coeffs, cd.k_basis):
-            if c:
-                for i in range(alg.dim):
-                    v[i] = v[i] + c * u[i]
-        out.append(tuple(v))
-    return out
-
-
 def validate_datum(alg: LieAlgebra, cd: CartanDecomposition,
                    datum: RestrictedRootDatum) -> ValidationReport:
     """Exact well-formedness report for a restricted-root datum."""
@@ -191,8 +167,8 @@ def validate_datum(alg: LieAlgebra, cd: CartanDecomposition,
     rep.record("theta-pairing", bad is None,
                f"root {bad[0]}: {bad[1]}" if bad else "")
 
-    m_basis = _centralizer_of_a_in_k(alg, cd, datum)
-    total = sum(r.multiplicity for r in datum.roots) + len(m_basis) + datum.dim_a
+    dim_m = len(centralizer(alg, cd.k_basis, datum.a_basis))
+    total = sum(r.multiplicity for r in datum.roots) + dim_m + datum.dim_a
     rep.record("weight-space-completeness", total == n,
                f"sum {total} != dim g {n}" if total != n else "")
 
@@ -269,7 +245,7 @@ def choose_y(datum: RestrictedRootDatum, max_half_width: int = 64) -> Vector:
                 for i in range(ambient):
                     y[i] = y[i] + c * h[i]
         return tuple(y)
-    raise AssertionError(
+    raise SoundnessError(
         "no valid y found; the search bound should never be reached for a "
         "valid datum")
 
@@ -327,7 +303,7 @@ def choose_x0(alg: LieAlgebra, datum: RestrictedRootDatum,
         x0 = tuple(x0)
         if all(_cyclic_generator(alg, x0, r) is not None for r in high):
             return x0
-    raise AssertionError(
+    raise SoundnessError(
         "no valid x0 found; the search bound should never be reached for a "
         "valid datum")
 
@@ -337,7 +313,7 @@ def construct_regular(alg: LieAlgebra, cd: CartanDecomposition,
     """Deterministic K-regular element z = x + y from the datum.
 
     The output is certified on the spot; a failed certificate would be a
-    soundness bug and trips an assertion.
+    soundness bug and raises SoundnessError.
     """
     from .certify import is_k_regular
 
@@ -350,7 +326,8 @@ def construct_regular(alg: LieAlgebra, cd: CartanDecomposition,
             x_nu = root.space[0]
         else:
             x_nu = _cyclic_generator(alg, x0, root)
-            assert x_nu is not None, "x0 was chosen to make this cyclic"
+            if x_nu is None:
+                raise SoundnessError("x0 was chosen to make this cyclic")
         contrib = vec_add(x_nu, cd.theta.matvec(x_nu))
         for k in range(alg.dim):
             x[k] = x[k] + contrib[k]
@@ -358,7 +335,8 @@ def construct_regular(alg: LieAlgebra, cd: CartanDecomposition,
     z = vec_add(x, y)
     ez = ElementZ(z=z, x=x, y=tuple(y))
     cert = is_k_regular(alg, cd, z)
-    assert cert.verdict == "k-regular", (
-        "constructed element failed the regularity certificate; this "
-        "contradicts the construction theorem and is a bug")
+    if cert.verdict != "k-regular":
+        raise SoundnessError(
+            "constructed element failed the regularity certificate; this "
+            "contradicts the construction theorem and is a bug")
     return ez

@@ -36,12 +36,13 @@ from .certify import (
     power_trace,
     separation_probe,
 )
+from .errors import SoundnessError
 from .linalg import (
     EchelonSpan,
     MatrixQ,
     is_nilpotent_matrix,
+    reduced_basis,
     solve_in_span,
-    span_contains,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -156,7 +157,7 @@ def _sl2_curated(alg: LieAlgebra):
     return [zero, witness, e, e_minus_f, h]
 
 
-def _suite_stabilization(alg, cd, rng, samples, jobs, box) -> list:
+def _suite_stabilization(alg, cd, rng, samples, jobs, box, datum) -> list:
     rec = PropertyRecord(
         "stabilization",
         "the filtration of the subalgebra generated by the k- and p-parts "
@@ -169,13 +170,12 @@ def _suite_stabilization(alg, cd, rng, samples, jobs, box) -> list:
             rep = generated_subalgebra(alg, cd, z)
             rec.check(rep.stabilization_degree <= max(n - 1, 1),
                       f"z with stabilization {rep.stabilization_degree}")
-        except AssertionError as exc:
+        except SoundnessError as exc:
             rec.check(False, str(exc))
     return [rec]
 
 
-def _suite_regularity(alg, cd, rng, samples, jobs, box,
-                      datum: Optional[RestrictedRootDatum]) -> list:
+def _suite_regularity(alg, cd, rng, samples, jobs, box, datum) -> list:
     rank_bound = PropertyRecord(
         "rank-bound",
         "Gram rank never exceeds dim g(z), with equality when g(z) = g",
@@ -188,12 +188,15 @@ def _suite_regularity(alg, cd, rng, samples, jobs, box,
     n = alg.dim
     elements = [sample_element(alg, rng, box) for _ in range(samples)]
     if datum is not None:
-        elements.append(construct_regular(alg, cd, datum).z)
+        try:
+            elements.append(construct_regular(alg, cd, datum).z)
+        except SoundnessError as exc:
+            agreement.check(False, str(exc))
     for z in elements:
         rep = generated_subalgebra(alg, cd, z)
         try:
             cert = is_k_regular(alg, cd, z, jobs=jobs)
-        except AssertionError as exc:
+        except SoundnessError as exc:
             agreement.check(False, str(exc))
             continue
         agreement.check(True)
@@ -202,7 +205,7 @@ def _suite_regularity(alg, cd, rng, samples, jobs, box,
     return [agreement, rank_bound]
 
 
-def _suite_invariance(alg, cd, rng, samples, jobs, box) -> list:
+def _suite_invariance(alg, cd, rng, samples, jobs, box, datum) -> list:
     residual = PropertyRecord(
         "residual-zero",
         "the first-order change of every word-pair invariant along every "
@@ -259,7 +262,7 @@ def _is_nil_by_solvability(alg, cd, z) -> bool:
     )
 
 
-def _suite_nilcone(alg, cd, rng, samples, jobs, box) -> list:
+def _suite_nilcone(alg, cd, rng, samples, jobs, box, datum) -> list:
     cartan = PropertyRecord(
         "cartan-criterion",
         "vanishing Gram with nilpotent ad x, ad y agrees with solvability "
@@ -316,8 +319,7 @@ def _killing_dual_in_a(alg, datum, root):
     return tuple(out)
 
 
-def _suite_appendix(alg, cd, rng, samples, jobs, box,
-                    datum: Optional[RestrictedRootDatum]) -> list:
+def _suite_appendix(alg, cd, rng, samples, jobs, box, datum) -> list:
     certified = PropertyRecord(
         "construct-certified",
         "the deterministic construction yields a certified K-regular element",
@@ -353,7 +355,7 @@ def _suite_appendix(alg, cd, rng, samples, jobs, box,
     try:
         ez = construct_regular(alg, cd, datum)
         certified.check(True)
-    except AssertionError as exc:
+    except SoundnessError as exc:
         certified.check(False, str(exc))
         return [certified]
 
@@ -361,11 +363,11 @@ def _suite_appendix(alg, cd, rng, samples, jobs, box,
     cz = centralizer_in_k(alg, cd, rep)
     centralizer.check(len(cz) == 0, f"centralizer dim {len(cz)}")
 
-    basis_mat = MatrixQ.from_columns(rep.basis)
+    g_z = EchelonSpan(alg.dim)
+    g_z.extend(reduced_basis(rep.basis, alg.dim))
     for i in datum.positive:
         for v in datum.roots[i].space:
-            containment.check(span_contains(basis_mat, v),
-                              f"root {i} space escapes g(z)")
+            containment.check(g_z.contains(v), f"root {i} space escapes g(z)")
 
     a_mat = MatrixQ.from_columns(list(datum.a_basis))
     coeffs = solve_in_span(a_mat, ez.y)
@@ -404,7 +406,7 @@ def brute_force_lyndon_count(degree: int) -> int:
     return count
 
 
-def _suite_witt(alg, cd, rng, samples, jobs, box) -> list:
+def _suite_witt(alg, cd, rng, samples, jobs, box, datum) -> list:
     formula = PropertyRecord(
         "witt-formula",
         "Lyndon word counts per degree match the necklace-count formula "
@@ -428,7 +430,7 @@ _EXPECTED_BOUNDS = {"sl2": (3, 6, 30), "sl3": (8, 16, 600),
                     "sl4": (15, 30, 3915)}
 
 
-def _suite_bounds(alg, cd, rng, samples, jobs, box) -> list:
+def _suite_bounds(alg, cd, rng, samples, jobs, box, datum) -> list:
     rec = PropertyRecord(
         "degree-bound",
         "the generation degree bound equals C(2n, 2) * dim p",
@@ -445,14 +447,15 @@ def _suite_bounds(alg, cd, rng, samples, jobs, box) -> list:
     return [rec]
 
 
+# every suite takes (alg, cd, rng, samples, jobs, box, datum)
 _SUITE_FUNCS = {
-    "stabilization": lambda a, c, r, s, j, b, d: _suite_stabilization(a, c, r, s, j, b),
-    "invariance": lambda a, c, r, s, j, b, d: _suite_invariance(a, c, r, s, j, b),
+    "stabilization": _suite_stabilization,
+    "invariance": _suite_invariance,
     "regularity": _suite_regularity,
-    "nilcone": lambda a, c, r, s, j, b, d: _suite_nilcone(a, c, r, s, j, b),
+    "nilcone": _suite_nilcone,
     "appendix": _suite_appendix,
-    "witt": lambda a, c, r, s, j, b, d: _suite_witt(a, c, r, s, j, b),
-    "bounds": lambda a, c, r, s, j, b, d: _suite_bounds(a, c, r, s, j, b),
+    "witt": _suite_witt,
+    "bounds": _suite_bounds,
 }
 
 
@@ -463,6 +466,10 @@ def verify_suite(alg: LieAlgebra, cd: CartanDecomposition, suite: str,
     """Run one named suite (or 'all') and return its report."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; known: {SUITES}")
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
+    if box < 0:
+        raise ValueError(f"box must be >= 0, got {box}")
     names = [s for s in SUITES if s != "all"] if suite == "all" else [suite]
     if datum is None and alg.family == "split-sl":
         datum = catalog_datum(alg, cd)

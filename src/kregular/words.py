@@ -14,6 +14,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .algebra import LieAlgebra, bracket
+from .errors import SoundnessError
 from .linalg import Vector, vec_add, zero_vector
 from .scalar import Scalar
 
@@ -106,7 +107,9 @@ def witt_dimension(j: int) -> int:
     for d in range(1, j + 1):
         if j % d == 0:
             total += _mobius(d) * 2 ** (j // d)
-    assert total % j == 0
+    if total % j:
+        raise SoundnessError(
+            f"necklace sum {total} for degree {j} is not divisible by {j}")
     return total // j
 
 

@@ -1,12 +1,15 @@
+import random
+
 import pytest
 
-from kregular.algebra import decompose, killing_pair
+from kregular.algebra import ad_matrix, bracket, decompose, killing_pair
 from kregular.certify import (
     GRAM_LIMIT_ENV,
     centralizer_in_k,
     degree_bounds,
     derived_series,
     full_gram_side,
+    gram_size_limit,
     generated_subalgebra,
     gram_matrix,
     invariant_value,
@@ -17,8 +20,8 @@ from kregular.certify import (
     power_trace,
     separation_probe,
 )
-from kregular.errors import DegreeBoundError, GramSizeError
-from kregular.linalg import MatrixQ, rank_of
+from kregular.errors import ConfigError, DegreeBoundError, GramSizeError
+from kregular.linalg import EchelonSpan, MatrixQ, nullspace_of, rank_of
 from kregular.scalar import I, ONE, ZERO, Scalar
 from kregular.words import LyndonWord
 
@@ -78,6 +81,13 @@ def test_gram_size_limit(sl2, monkeypatch):
     # override flag and reduced mode both sidestep the limit
     assert gram_matrix(alg, cd, Z_REG, mode="full", override_limit=True).rank == 3
     assert gram_matrix(alg, cd, Z_REG, mode="reduced").rank == 3
+
+
+@pytest.mark.parametrize("raw", ["abc", "-3", "1.5", ""])
+def test_gram_size_limit_rejects_malformed_env(monkeypatch, raw):
+    monkeypatch.setenv(GRAM_LIMIT_ENV, raw)
+    with pytest.raises(ConfigError, match=GRAM_LIMIT_ENV):
+        gram_size_limit()
 
 
 def test_gram_rejects_bad_args(sl2):
@@ -208,3 +218,102 @@ def test_full_gram_side():
     assert full_gram_side(3) == 5
     assert full_gram_side(8) == 71
     assert full_gram_side(15) == 4720
+
+
+# Differential oracles: derived_series and centralizer_in_k as they were
+# before they moved onto the reduced echelon basis.  Both bracket the
+# vectors exactly as given.
+
+def _derived_series_reference(alg, basis):
+    n = alg.dim
+    current = EchelonSpan(n)
+    current.extend(basis)
+    for u in current.basis:
+        for v in current.basis:
+            if not current.contains(bracket(alg, u, v)):
+                raise ValueError("basis is not closed under the bracket")
+    dims = [current.dim]
+    while True:
+        nxt = EchelonSpan(n)
+        cb = current.basis
+        for i in range(len(cb)):
+            for j in range(i + 1, len(cb)):
+                nxt.add(bracket(alg, cb[i], cb[j]))
+        dims.append(nxt.dim)
+        if nxt.dim == current.dim or nxt.dim == 0:
+            return dims
+        current = nxt
+
+
+def _centralizer_in_k_reference(alg, cd, report):
+    if not report.basis:
+        return [tuple(v) for v in cd.k_basis]
+    n = alg.dim
+    ad_k = [ad_matrix(alg, u) for u in cd.k_basis]
+    rows = []
+    for w in report.basis:
+        cols = [a.matvec(w) for a in ad_k]
+        for r in range(n):
+            rows.append([cols[c][r] for c in range(len(ad_k))])
+    out = []
+    for coeffs in nullspace_of(MatrixQ.from_rows(rows)):
+        v = [ZERO] * n
+        for c, u in zip(coeffs, cd.k_basis):
+            if c:
+                for i in range(n):
+                    v[i] = v[i] + c * u[i]
+        out.append(tuple(v))
+    return out
+
+
+def _sparse_element(alg, rng, support):
+    """Gaussian-integer element with at most `support` nonzero coordinates."""
+    z = [ZERO] * alg.dim
+    for k in rng.sample(range(alg.dim), support):
+        z[k] = Scalar(rng.randint(-3, 3), rng.randint(-1, 1))
+    return tuple(z)
+
+
+def _differential_elements(alg, seed, dense, sparse):
+    rng = random.Random(seed)
+    out = [tuple(Scalar(rng.randint(-3, 3), rng.randint(-3, 3))
+                 for _ in range(alg.dim)) for _ in range(dense)]
+    out.extend(_sparse_element(alg, rng, rng.randint(1, 3))
+               for _ in range(sparse))
+    out.append(alg.basis_vector(0))
+    return out
+
+
+def test_derived_series_and_centralizer_match_reference(sl2, sl3, sl4, su21):
+    proper_centralizer = solvable = 0
+    for (alg, cd), dense, sparse in ((sl2, 3, 6), (sl3, 2, 8), (su21, 2, 8),
+                                     (sl4, 1, 8)):
+        for z in _differential_elements(alg, alg.dim, dense, sparse):
+            rep = generated_subalgebra(alg, cd, z)
+            dims = derived_series(alg, rep.basis)
+            assert dims == _derived_series_reference(alg, rep.basis), z
+            cz = centralizer_in_k(alg, cd, rep)
+            assert cz == _centralizer_in_k_reference(alg, cd, rep), z
+            proper_centralizer += bool(cz) and rep.dim > 0
+            solvable += dims[-1] == 0 and rep.dim > 0
+    # the sparse elements reach proper subalgebras of both kinds
+    assert proper_centralizer and solvable
+
+
+def _series_or_error(func, alg, vectors):
+    try:
+        return func(alg, vectors)
+    except ValueError:
+        return "not closed"
+
+
+def test_derived_series_on_arbitrary_sets_matches_reference(sl3):
+    alg, _ = sl3
+    rng = random.Random(7)
+    outcomes = []
+    for _ in range(12):
+        vectors = [_sparse_element(alg, rng, 2) for _ in range(2)]
+        outcomes.append(_series_or_error(derived_series, alg, vectors))
+        assert outcomes[-1] == _series_or_error(
+            _derived_series_reference, alg, vectors), vectors
+    assert "not closed" in outcomes

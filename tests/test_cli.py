@@ -1,9 +1,16 @@
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import kregular
 from kregular import io as kio
+from kregular.certify import GRAM_LIMIT_ENV
 from kregular.cli import main
 
 from conftest import vec
@@ -194,3 +201,46 @@ def test_verify_deterministic_across_jobs(runner):
     body1 = {k: v for k, v in json.loads(one.output).items() if k != "wall_time_s"}
     body2 = {k: v for k, v in json.loads(two.output).items() if k != "wall_time_s"}
     assert body1 == body2
+
+
+def test_malformed_gram_limit_is_input_error(runner):
+    result = runner.invoke(main, ["bounds", "-a", "sl2"],
+                           env={GRAM_LIMIT_ENV: "abc"})
+    assert result.exit_code == 2
+    assert GRAM_LIMIT_ENV in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("flag, value", [("--box", "-1"), ("--samples", "-5"),
+                                         ("--samples", "0")])
+def test_verify_rejects_out_of_range_flags(runner, flag, value):
+    result = runner.invoke(
+        main, ["verify", "-a", "sl2", "--suite", "stabilization", flag, value])
+    assert result.exit_code == 2
+    assert flag in result.output
+    assert "Traceback" not in result.output
+
+
+PACKAGE_DIR = Path(kregular.__file__).resolve().parent
+
+
+def test_package_has_no_assert_statements():
+    """Soundness checks raise SoundnessError; python -O strips asserts."""
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+        assert not lines, f"{path.name}: assert at lines {lines}"
+
+
+def test_verify_all_passes_under_optimize():
+    env = dict(os.environ)
+    paths = [str(PACKAGE_DIR.parent), env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "kregular.cli", "verify", "-a", "sl2",
+         "--suite", "all", "--samples", "5"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["failures"] == 0
+    assert all(r["checks_run"] > 0 for r in doc["records"])

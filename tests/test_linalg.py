@@ -10,6 +10,7 @@ from kregular.linalg import (
     nullspace_of,
     rank_of,
     rank_profile,
+    reduced_basis,
     solve_in_span,
     span_contains,
     vec_is_zero,
@@ -86,6 +87,31 @@ def test_solve_in_span():
     assert c == (Scalar(2), Scalar(3))
     assert solve_in_span(basis, (ONE, ZERO, ZERO)) is None
     assert span_contains(basis, (ZERO, ZERO, ZERO))
+
+
+def test_reduced_basis_depends_only_on_the_span():
+    rng = random.Random(3)
+    for rows, cols in ((3, 5), (6, 4), (4, 4)):
+        m = random_matrix(rng, rows, cols, density=0.5)
+        vectors = [m.row(i) for i in range(rows)]
+        basis = reduced_basis(vectors, cols)
+        assert len(basis) == rank_of(m)
+        # any invertible recombination of the vectors has the same rows
+        mixed = [tuple(a + Scalar(k + 1, 1) * b for a, b in zip(v, vectors[0]))
+                 for k, v in enumerate(vectors[1:])] + [vectors[0]]
+        assert reduced_basis(mixed[::-1], cols) == basis
+        span = EchelonSpan(cols)
+        span.extend(vectors)
+        assert all(span.contains(b) for b in basis)
+
+
+def test_reduced_basis_of_a_spanning_set_is_the_identity():
+    m = MatrixQ.from_rows([[Scalar(7, 2), Scalar(1, 5)], [Scalar(3), ZERO],
+                           [ZERO, ZERO]])
+    assert reduced_basis([m.row(i) for i in range(3)], 2) == [
+        (ONE, ZERO), (ZERO, ONE)]
+    assert reduced_basis([], 3) == []
+    assert reduced_basis([(ZERO, ZERO)], 2) == []
 
 
 def test_nilpotency():

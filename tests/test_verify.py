@@ -1,6 +1,8 @@
 import pytest
 
+from kregular import verify
 from kregular.catalog import catalog_build
+from kregular.errors import SoundnessError
 from kregular.linalg import MatrixQ
 from kregular.algebra import LieAlgebra
 from kregular.verify import (
@@ -53,6 +55,35 @@ def test_unknown_suite_rejected(sl2):
     alg, cd = sl2
     with pytest.raises(ValueError):
         verify_suite(alg, cd, "everything")
+
+
+def test_negative_samples_and_box_rejected(sl2):
+    alg, cd = sl2
+    with pytest.raises(ValueError, match="samples"):
+        verify_suite(alg, cd, "stabilization", samples=-5)
+    with pytest.raises(ValueError, match="box"):
+        verify_suite(alg, cd, "stabilization", samples=1, box=-1)
+
+
+def test_soundness_error_is_a_recorded_failure(sl2, monkeypatch):
+    alg, cd = sl2
+
+    def broken(*args, **kwargs):
+        raise SoundnessError("injected")
+
+    monkeypatch.setattr(verify, "is_k_regular", broken)
+    regularity = verify_suite(alg, cd, "regularity", seed=0, samples=2)
+    agreement = {r.name: r for r in regularity.records}["verdict-agreement"]
+    assert agreement.failures == agreement.checks_run == 3
+    assert agreement.first_counterexample == "injected"
+
+    monkeypatch.setattr(verify, "construct_regular", broken)
+    regularity = verify_suite(alg, cd, "regularity", seed=0, samples=2)
+    agreement = {r.name: r for r in regularity.records}["verdict-agreement"]
+    assert agreement.failures == agreement.checks_run == 3
+    appendix = verify_suite(alg, cd, "appendix", seed=0, samples=1)
+    assert [(r.name, r.first_counterexample) for r in appendix.records] \
+        == [("construct-certified", "injected")]
 
 
 def test_sample_element_is_seed_determined(sl2):
