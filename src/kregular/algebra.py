@@ -14,12 +14,12 @@ from .linalg import (
     EchelonSpan,
     MatrixQ,
     Vector,
+    linear_combination,
     nullspace_of,
     rank_of,
     reduced_basis,
     vec_add,
     vec_is_zero,
-    zero_vector,
 )
 from .scalar import ONE, ZERO, Scalar
 
@@ -167,15 +167,8 @@ def centralizer(alg: LieAlgebra, basis: Sequence, vectors: Sequence) -> list:
         cols = [a.matvec(v) for a in ad_u]
         for r in range(alg.dim):
             rows.append([col[r] for col in cols])
-    out = []
-    for coeffs in nullspace_of(MatrixQ.from_rows(rows)):
-        w = [ZERO] * alg.dim
-        for c, u in zip(coeffs, basis):
-            if c:
-                for i in range(alg.dim):
-                    w[i] = w[i] + c * u[i]
-        out.append(tuple(w))
-    return out
+    return [linear_combination(coeffs, basis, alg.dim)
+            for coeffs in nullspace_of(MatrixQ.from_rows(rows))]
 
 
 def killing_pair(alg: LieAlgebra, u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:

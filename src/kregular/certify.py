@@ -6,21 +6,22 @@ k- and p-parts of z is all of g.  Full mode uses every Lyndon word up to
 the degree cap; reduced mode pairs only the filtration's spanning vectors
 of g(z).  Both vector sets span g(z), so the two Gram matrices always
 have equal rank; full mode stays the default where its size is feasible.
+
+A certificate computes g(z) once and carries it as `subalgebra`, which
+reduced mode pairs, the regularity cross-check reads and the verify
+suites reuse.  is_k_regular and nilcone_test share that pipeline.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .algebra import (
     CartanDecomposition,
-    ElementZ,
     LieAlgebra,
     ad_matrix,
     bracket,
@@ -37,14 +38,10 @@ from .errors import (
 from .linalg import (
     EchelonSpan,
     MatrixQ,
-    Vector,
-    is_nilpotent_matrix,
     nilpotency_exponent,
     rank_profile,
     reduced_basis,
     span_contains,
-    vec_is_zero,
-    zero_vector,
 )
 from .scalar import ZERO, Scalar
 from .words import LyndonWord, WordEvaluator, lyndon_basis, witt_dimension
@@ -142,6 +139,9 @@ class GramCertificate:
     # does not have to eliminate the same matrix twice
     pivot_rows: Optional[list] = None
     pivot_cols: Optional[list] = None
+    # g(z) from the certificate's one filtration; not part of to_dict()
+    # or gram_hash()
+    subalgebra: Optional[SubalgebraReport] = field(default=None, repr=False)
 
     def gram_hash(self) -> str:
         body = ";".join(str(e) for e in self.gram.entries)
@@ -171,42 +171,37 @@ def full_gram_side(degree_cap: int) -> int:
     return sum(witt_dimension(j) for j in range(1, degree_cap + 1))
 
 
-def _gram_of_vectors(alg: LieAlgebra, vectors: list, jobs: int = 1) -> MatrixQ:
+def _gram_of_vectors(alg: LieAlgebra, vectors: list) -> MatrixQ:
     m = len(vectors)
     paired = [alg.killing.matvec(v) for v in vectors]
-
-    def entry(ij):
-        i, j = ij
-        acc = ZERO
-        for a, b in zip(vectors[i], paired[j]):
-            if a and b:
-                acc = acc + a * b
-        return acc
-
-    index_pairs = [(i, j) for i in range(m) for j in range(i, m)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(entry, index_pairs))
-    else:
-        values = [entry(ij) for ij in index_pairs]
     flat = [[ZERO] * m for _ in range(m)]
-    for (i, j), v in zip(index_pairs, values):
-        flat[i][j] = v
-        flat[j][i] = v
+    for i in range(m):
+        for j in range(i, m):
+            acc = ZERO
+            for a, b in zip(vectors[i], paired[j]):
+                if a and b:
+                    acc = acc + a * b
+            flat[i][j] = acc
+            flat[j][i] = acc
     return MatrixQ.from_rows(flat)
 
 
 def gram_matrix(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
                 degree_cap: Optional[int] = None, mode: str = "full",
                 jobs: int = 1, override_limit: bool = False) -> GramCertificate:
-    """Exact symmetric Gram matrix of Killing pairings; verdict unset."""
+    """Exact symmetric Gram matrix of Killing pairings; verdict unset.
+
+    Runs the filtration once, in either mode, and attaches g(z) as
+    cert.subalgebra.  Entries are computed serially; jobs has no effect.
+    """
     n = alg.dim
     cap = n if degree_cap is None else degree_cap
     if cap < 1:
         raise ValueError("degree cap must be >= 1")
     if mode not in ("full", "reduced"):
         raise ValueError(f"unknown gram mode {mode!r}")
-    ez = decompose(cd, z)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if mode == "full":
         side = full_gram_side(cap)
         limit = gram_size_limit()
@@ -214,15 +209,18 @@ def gram_matrix(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
             raise GramSizeError(
                 f"full Gram side d({cap}) = {side} exceeds limit {limit}; "
                 f"set {GRAM_LIMIT_ENV} or use reduced mode")
+    report = generated_subalgebra(alg, cd, z)
+    if mode == "full":
+        ez = decompose(cd, z)
         ev = WordEvaluator(alg, ez.x, ez.y)
         vectors = [ev.value(w) for group in lyndon_basis(cap) for w in group]
     else:
-        vectors = generated_subalgebra(alg, cd, z).basis
-    gram = _gram_of_vectors(alg, vectors, jobs=jobs)
+        vectors = report.basis
+    gram = _gram_of_vectors(alg, vectors)
     rank, rows, cols = rank_profile(gram)
     return GramCertificate(degree_cap=cap, mode=mode, gram=gram,
                            rank=rank, dim_g=n, pivot_rows=rows,
-                           pivot_cols=cols)
+                           pivot_cols=cols, subalgebra=report)
 
 
 def _feasible_mode(alg: LieAlgebra, override_limit: bool) -> str:
@@ -231,29 +229,37 @@ def _feasible_mode(alg: LieAlgebra, override_limit: bool) -> str:
     return "reduced"
 
 
-def is_k_regular(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
-                 jobs: int = 1, override_limit: bool = False) -> GramCertificate:
-    """Regularity certificate: Gram rank equals dim g iff g(z) = g.
+def _certify(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
+             jobs: int, override_limit: bool) -> GramCertificate:
+    """Gram in the feasible mode with verdict k-regular or neither.
 
-    The Gram verdict is cross-checked against the filtration dimension;
-    disagreement would be a soundness bug and raises SoundnessError.
+    The rank verdict is cross-checked against dim g(z) from the same
+    certificate; disagreement is a bug and raises SoundnessError.
     """
     mode = _feasible_mode(alg, override_limit)
     cert = gram_matrix(alg, cd, z, mode=mode, jobs=jobs,
                        override_limit=override_limit)
-    report = generated_subalgebra(alg, cd, z)
+    dim_gz = cert.subalgebra.dim
     gram_says = cert.rank == alg.dim
-    filtration_says = report.dim == alg.dim
-    if gram_says != filtration_says:
+    if gram_says != (dim_gz == alg.dim):
         raise SoundnessError(
-            f"Gram rank {cert.rank} and filtration dim {report.dim} disagree "
+            f"Gram rank {cert.rank} and filtration dim {dim_gz} disagree "
             f"on regularity (dim g = {alg.dim}); this is a bug")
-    if gram_says:
-        cert.verdict = VERDICT_REGULAR
+    cert.verdict = VERDICT_REGULAR if gram_says else VERDICT_NEITHER
+    return cert
+
+
+def is_k_regular(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
+                 jobs: int = 1, override_limit: bool = False) -> GramCertificate:
+    """Regularity certificate: Gram rank equals dim g iff g(z) = g.
+
+    A k-regular verdict carries the pivot rows and columns of a
+    nonsingular dim g x dim g minor as its witness.  jobs has no effect.
+    """
+    cert = _certify(alg, cd, z, jobs, override_limit)
+    if cert.verdict == VERDICT_REGULAR:
         cert.witnesses = {"minor_rows": cert.pivot_rows,
                           "minor_cols": cert.pivot_cols}
-    else:
-        cert.verdict = VERDICT_NEITHER
     return cert
 
 
@@ -263,22 +269,17 @@ def nilcone_test(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
 
     z is in the cone iff the Gram matrix vanishes identically and both
     ad x and ad y are nilpotent; the nilpotency exponents are recorded
-    as witnesses.
+    as witnesses.  Otherwise the verdict is k-regular or neither, with
+    no witness.  jobs has no effect.
     """
-    mode = _feasible_mode(alg, override_limit)
-    cert = gram_matrix(alg, cd, z, mode=mode, jobs=jobs,
-                       override_limit=override_limit)
-    ez = decompose(cd, z)
-    adx = ad_matrix(alg, ez.x)
-    ady = ad_matrix(alg, ez.y)
+    cert = _certify(alg, cd, z, jobs, override_limit)
     if cert.gram.is_zero():
-        ex = nilpotency_exponent(adx)
-        ey = nilpotency_exponent(ady)
+        ez = decompose(cd, z)
+        ex = nilpotency_exponent(ad_matrix(alg, ez.x))
+        ey = nilpotency_exponent(ad_matrix(alg, ez.y))
         if ex is not None and ey is not None:
             cert.verdict = VERDICT_NIL
             cert.witnesses = {"ad_x_exponent": ex, "ad_y_exponent": ey}
-            return cert
-    cert.verdict = VERDICT_REGULAR if cert.rank == alg.dim else VERDICT_NEITHER
     return cert
 
 

@@ -27,16 +27,13 @@ from .certify import (
 from .errors import (
     CatalogError,
     ConfigError,
-    DegreeBoundError,
     GramSizeError,
-    KregularError,
     SchemaError,
     ValidationFailure,
 )
 from .roots import catalog_datum, construct_regular
 from .verify import SUITES, verify_suite
 from .words import LyndonWord, evaluate_word, is_lyndon, lyndon_basis
-from .scalar import Scalar
 
 EXIT_FAILURE = 1
 EXIT_INPUT = 2
@@ -74,7 +71,8 @@ algebra_opt = click.option("--algebra", "-a", default=None,
 file_opt = click.option("--file", "-f", default=None, type=click.Path(),
                         help="algebra JSON file")
 jobs_opt = click.option("--jobs", "-j", default=1, show_default=True,
-                        help="worker threads for Gram entries")
+                        type=click.IntRange(min=1),
+                        help="accepted for compatibility; has no effect")
 
 
 @click.group()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .algebra import CartanDecomposition, LieAlgebra, validate
 from .errors import SchemaError, ValidationFailure
@@ -65,8 +65,11 @@ def load_algebra(doc: dict) -> tuple:
     if not isinstance(dim, int) or dim < 1:
         raise SchemaError("dim must be a positive integer")
     labels = doc.get("basis_labels")
-    if labels is not None and len(labels) != dim:
-        raise SchemaError("basis_labels length must equal dim")
+    if labels is not None and not (isinstance(labels, list)
+                                   and len(labels) == dim):
+        raise SchemaError("basis_labels must be a list of dim labels")
+    if not isinstance(doc["structure"], list):
+        raise SchemaError("structure must be a list of [i, j, coeffs] entries")
 
     lower = {}
     for entry in doc["structure"]:
@@ -79,7 +82,7 @@ def load_algebra(doc: dict) -> tuple:
     alg = LieAlgebra.from_lower_table(name, dim, lower, basis_labels=labels)
 
     theta_rows = doc["theta"]
-    if len(theta_rows) != dim:
+    if not (isinstance(theta_rows, list) and len(theta_rows) == dim):
         raise SchemaError("theta must be a dim x dim array")
     theta = MatrixQ.from_rows([_vector_from_json(r, dim) for r in theta_rows])
     cd = CartanDecomposition(theta)

@@ -40,6 +40,17 @@ def vec_is_zero(u: Vector) -> bool:
     return all(not a for a in u)
 
 
+def linear_combination(coeffs: Iterable, vectors: Iterable, dim: int) -> Vector:
+    """Sum of c * v over paired coefficients and dim-vectors; zero
+    coefficients are skipped."""
+    out = [ZERO] * dim
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for i in range(dim):
+                out[i] = out[i] + c * v[i]
+    return tuple(out)
+
+
 class MatrixQ:
     """A dense rows x cols matrix of Scalars, row-major and immutable."""
 

@@ -19,8 +19,6 @@ from .algebra import (
     ValidationReport,
     bracket,
     centralizer,
-    decompose,
-    killing_pair,
 )
 from .catalog import matrix_index
 from .errors import CatalogError, SoundnessError, ValidationFailure
@@ -28,14 +26,14 @@ from .linalg import (
     EchelonSpan,
     MatrixQ,
     Vector,
-    solve_in_span,
+    linear_combination,
     span_contains,
     vec_add,
     vec_is_zero,
     vec_scale,
     zero_vector,
 )
-from .scalar import ONE, ZERO, Scalar
+from .scalar import ZERO, Scalar
 
 
 @dataclass(frozen=True)
@@ -239,12 +237,7 @@ def choose_y(datum: RestrictedRootDatum, max_half_width: int = 64) -> Vector:
             continue
         if len(set(values)) != len(values):
             continue
-        y = [ZERO] * ambient
-        for c, h in zip(coeffs, datum.a_basis):
-            if c:
-                for i in range(ambient):
-                    y[i] = y[i] + c * h[i]
-        return tuple(y)
+        return linear_combination(coeffs, datum.a_basis, ambient)
     raise SoundnessError(
         "no valid y found; the search bound should never be reached for a "
         "valid datum")
@@ -267,18 +260,12 @@ def _cyclic_generator(alg: LieAlgebra, x0: Sequence[Scalar],
     for v in root.space:
         if _krylov_is_cyclic(alg, x0, root, v):
             return tuple(v)
-    ambient = alg.dim
     for tup in _box_candidates(root.multiplicity, 8):
-        v = [ZERO] * ambient
-        for c, b in zip(tup, root.space):
-            if c:
-                sc = Scalar(c)
-                for i in range(ambient):
-                    v[i] = v[i] + sc * b[i]
+        v = linear_combination([Scalar(c) for c in tup], root.space, alg.dim)
         if vec_is_zero(v):
             continue
-        if _krylov_is_cyclic(alg, x0, root, tuple(v)):
-            return tuple(v)
+        if _krylov_is_cyclic(alg, x0, root, v):
+            return v
     return None
 
 
@@ -294,13 +281,8 @@ def choose_x0(alg: LieAlgebra, datum: RestrictedRootDatum,
         raise ValidationFailure("mult-high-needs-hm",
                                 "cannot choose x0 with empty h_m")
     for tup in _box_candidates(len(datum.hm_basis), max_half_width):
-        x0 = [ZERO] * ambient
-        for c, h in zip(tup, datum.hm_basis):
-            if c:
-                sc = Scalar(c)
-                for i in range(ambient):
-                    x0[i] = x0[i] + sc * h[i]
-        x0 = tuple(x0)
+        x0 = linear_combination([Scalar(c) for c in tup], datum.hm_basis,
+                                ambient)
         if all(_cyclic_generator(alg, x0, r) is not None for r in high):
             return x0
     raise SoundnessError(

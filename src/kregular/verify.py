@@ -2,7 +2,7 @@
 
 Every suite is exact: a single failing comparison is a real failure, not
 noise.  Reports are deterministic functions of (algebra, suite, seed,
-samples); worker count never changes report content.
+samples); jobs is accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -12,54 +12,46 @@ import csv
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from .algebra import (
     CartanDecomposition,
     LieAlgebra,
     ad_matrix,
     bracket,
+    centralizer,
     decompose,
     killing_pair,
 )
-from .catalog import matrix_index
 from .certify import (
     VERDICT_NIL,
-    centralizer_in_k,
     degree_bounds,
     derived_series,
     generated_subalgebra,
-    gram_matrix,
     is_k_regular,
-    lie_derivative_residual,
     nilcone_test,
     power_trace,
-    separation_probe,
 )
 from .errors import SoundnessError
 from .linalg import (
     EchelonSpan,
     MatrixQ,
     is_nilpotent_matrix,
+    linear_combination,
     reduced_basis,
     solve_in_span,
-    vec_add,
     vec_is_zero,
     vec_scale,
 )
 from .roots import (
     RestrictedRootDatum,
     catalog_datum,
-    choose_y,
     construct_regular,
     zeta_value,
 )
-from .scalar import ONE, ZERO, I, Scalar
+from .scalar import ZERO, I, Scalar
 from .words import (
     DualWordEvaluator,
-    LyndonWord,
-    WordEvaluator,
-    is_lyndon,
     lyndon_basis,
     witt_dimension,
 )
@@ -193,15 +185,15 @@ def _suite_regularity(alg, cd, rng, samples, jobs, box, datum) -> list:
         except SoundnessError as exc:
             agreement.check(False, str(exc))
     for z in elements:
-        rep = generated_subalgebra(alg, cd, z)
         try:
             cert = is_k_regular(alg, cd, z, jobs=jobs)
         except SoundnessError as exc:
             agreement.check(False, str(exc))
             continue
         agreement.check(True)
-        ok = cert.rank <= rep.dim and (rep.dim != n or cert.rank == n)
-        rank_bound.check(ok, f"rank {cert.rank}, dim g(z) {rep.dim}")
+        dim_gz = cert.subalgebra.dim
+        ok = cert.rank <= dim_gz and (dim_gz != n or cert.rank == n)
+        rank_bound.check(ok, f"rank {cert.rank}, dim g(z) {dim_gz}")
     return [agreement, rank_bound]
 
 
@@ -239,10 +231,10 @@ def _suite_invariance(alg, cd, rng, samples, jobs, box, datum) -> list:
     return [residual, equivariance]
 
 
-def _is_nil_by_solvability(alg, cd, z) -> bool:
-    """Independent route: derived series of g(z) reaches 0 and ad is
-    nilpotent on every basis element (plus sampled members)."""
-    rep = generated_subalgebra(alg, cd, z)
+def _is_nil_by_solvability(alg, rep) -> bool:
+    """Independent route from the report of g(z): its derived series
+    reaches 0 and ad is nilpotent on every basis element (plus sampled
+    members)."""
     if rep.dim == 0:
         return True
     if derived_series(alg, rep.basis)[-1] != 0:
@@ -250,13 +242,9 @@ def _is_nil_by_solvability(alg, cd, z) -> bool:
     rng = random.Random(20240601)
     members = list(rep.basis)
     for _ in range(20):
-        v = [ZERO] * alg.dim
-        for b in rep.basis:
-            c = Scalar(rng.randint(-3, 3), rng.randint(-3, 3))
-            if c:
-                for i in range(alg.dim):
-                    v[i] = v[i] + c * b[i]
-        members.append(tuple(v))
+        coeffs = [Scalar(rng.randint(-3, 3), rng.randint(-3, 3))
+                  for _ in rep.basis]
+        members.append(linear_combination(coeffs, rep.basis, alg.dim))
     return all(
         is_nilpotent_matrix(ad_matrix(alg, w), alg.dim) for w in members
     )
@@ -282,9 +270,13 @@ def _suite_nilcone(alg, cd, rng, samples, jobs, box, datum) -> list:
     elements = list(_sl2_curated(alg)) if is_sl2 else []
     elements.extend(sample_element(alg, rng, box) for _ in range(samples))
     for z in elements:
-        cert = nilcone_test(alg, cd, z, jobs=jobs)
+        try:
+            cert = nilcone_test(alg, cd, z, jobs=jobs)
+        except SoundnessError as exc:
+            cartan.check(False, str(exc))
+            continue
         via_gram = cert.verdict == VERDICT_NIL
-        via_solv = _is_nil_by_solvability(alg, cd, z)
+        via_solv = _is_nil_by_solvability(alg, cert.subalgebra)
         cartan.check(via_gram == via_solv,
                      f"gram route {via_gram}, solvability route {via_solv}")
         if is_sl2:
@@ -311,12 +303,7 @@ def _killing_dual_in_a(alg, datum, root):
     coeffs = solve_in_span(gram, list(root.values))
     if coeffs is None:
         return None
-    out = [ZERO] * alg.dim
-    for c, h in zip(coeffs, datum.a_basis):
-        if c:
-            for i in range(alg.dim):
-                out[i] = out[i] + c * h[i]
-    return tuple(out)
+    return linear_combination(coeffs, datum.a_basis, alg.dim)
 
 
 def _suite_appendix(alg, cd, rng, samples, jobs, box, datum) -> list:
@@ -324,7 +311,7 @@ def _suite_appendix(alg, cd, rng, samples, jobs, box, datum) -> list:
         "construct-certified",
         "the deterministic construction yields a certified K-regular element",
     )
-    centralizer = PropertyRecord(
+    empty_centralizer = PropertyRecord(
         "centralizer-empty",
         "the centralizer in k of the generated subalgebra of a regular "
         "element is zero",
@@ -359,12 +346,14 @@ def _suite_appendix(alg, cd, rng, samples, jobs, box, datum) -> list:
         certified.check(False, str(exc))
         return [certified]
 
-    rep = generated_subalgebra(alg, cd, ez.z)
-    cz = centralizer_in_k(alg, cd, rep)
-    centralizer.check(len(cz) == 0, f"centralizer dim {len(cz)}")
+    # one reduction of g(z) serves both span-only checks
+    g_z_basis = reduced_basis(generated_subalgebra(alg, cd, ez.z).basis,
+                              alg.dim)
+    cz = centralizer(alg, cd.k_basis, g_z_basis)
+    empty_centralizer.check(len(cz) == 0, f"centralizer dim {len(cz)}")
 
     g_z = EchelonSpan(alg.dim)
-    g_z.extend(reduced_basis(rep.basis, alg.dim))
+    g_z.extend(g_z_basis)
     for i in datum.positive:
         for v in datum.roots[i].space:
             containment.check(g_z.contains(v), f"root {i} space escapes g(z)")
@@ -391,7 +380,8 @@ def _suite_appendix(alg, cd, rng, samples, jobs, box, datum) -> list:
     ez2 = construct_regular(alg, cd, datum)
     determinism.check(ez.z == ez2.z, "construction differs between runs")
 
-    return [certified, centralizer, containment, zeta, dual_pair, determinism]
+    return [certified, empty_centralizer, containment, zeta, dual_pair,
+            determinism]
 
 
 def brute_force_lyndon_count(degree: int) -> int:
@@ -470,6 +460,8 @@ def verify_suite(alg: LieAlgebra, cd: CartanDecomposition, suite: str,
         raise ValueError(f"samples must be >= 0, got {samples}")
     if box < 0:
         raise ValueError(f"box must be >= 0, got {box}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     names = [s for s in SUITES if s != "all"] if suite == "all" else [suite]
     if datum is None and alg.family == "split-sl":
         datum = catalog_datum(alg, cd)

@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from kregular import certify
 from kregular import (
     CartanDecomposition,
     LieAlgebra,
@@ -22,6 +25,34 @@ def vec(dim, **coords):
     for key, val in coords.items():
         out[int(key[1:])] = Scalar(val)
     return tuple(out)
+
+
+def count_filtrations(monkeypatch, *modules):
+    """Count calls of generated_subalgebra through the name each module
+    uses; returns the list of recorded argument tuples."""
+    calls = []
+    original = certify.generated_subalgebra
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (certify, *modules):
+        monkeypatch.setattr(module, "generated_subalgebra", counting)
+    return calls
+
+
+def flip_regularity(monkeypatch):
+    """Make every filtration report claim the opposite of g(z) = g, so
+    the certificate's rank/dimension cross-check must fail."""
+    original = certify.generated_subalgebra
+
+    def flipped(alg, cd, z):
+        rep = original(alg, cd, z)
+        dim = alg.dim - 1 if rep.dim == alg.dim else alg.dim
+        return dataclasses.replace(rep, dim=dim)
+
+    monkeypatch.setattr(certify, "generated_subalgebra", flipped)
 
 
 @pytest.fixture(scope="session")

@@ -20,16 +20,22 @@ from kregular.certify import (
     power_trace,
     separation_probe,
 )
-from kregular.errors import ConfigError, DegreeBoundError, GramSizeError
+from kregular.errors import (
+    ConfigError,
+    DegreeBoundError,
+    GramSizeError,
+    SoundnessError,
+)
 from kregular.linalg import EchelonSpan, MatrixQ, nullspace_of, rank_of
 from kregular.scalar import I, ONE, ZERO, Scalar
 from kregular.words import LyndonWord
 
-from conftest import vec
+from conftest import count_filtrations, flip_regularity, vec
 
 Z_REG = vec(3, e0=1, e1=1, e2=-1)  # h + e - f: x = e - f, y = h
 Z_NIL = tuple(a + I * (b + c) for a, b, c in zip(
     vec(3, e0=1), vec(3, e1=1), vec(3, e2=1)))  # h + i(e + f)
+Z_SL3 = tuple(Scalar((k * 3) % 5 - 2, k % 2) for k in range(8))
 
 
 def test_generated_subalgebra(sl2):
@@ -58,11 +64,10 @@ def test_gram_full_mode(sl2):
 
 def test_gram_reduced_equals_full_rank(sl3):
     alg, cd = sl3
-    z = tuple(Scalar((k * 3) % 5 - 2, k % 2) for k in range(8))
-    full = gram_matrix(alg, cd, z, mode="full")
-    reduced = gram_matrix(alg, cd, z, mode="reduced")
+    full = gram_matrix(alg, cd, Z_SL3, mode="full")
+    reduced = gram_matrix(alg, cd, Z_SL3, mode="reduced")
     assert full.rank == reduced.rank
-    assert reduced.gram.rows == generated_subalgebra(alg, cd, z).dim
+    assert reduced.gram.rows == generated_subalgebra(alg, cd, Z_SL3).dim
 
 
 def test_gram_jobs_deterministic(sl2):
@@ -96,6 +101,8 @@ def test_gram_rejects_bad_args(sl2):
         gram_matrix(alg, cd, Z_REG, degree_cap=0)
     with pytest.raises(ValueError):
         gram_matrix(alg, cd, Z_REG, mode="fast")
+    with pytest.raises(ValueError, match="jobs"):
+        gram_matrix(alg, cd, Z_REG, jobs=0)
 
 
 def test_is_k_regular_verdicts(sl2):
@@ -317,3 +324,48 @@ def test_derived_series_on_arbitrary_sets_matches_reference(sl3):
         assert outcomes[-1] == _series_or_error(
             _derived_series_reference, alg, vectors), vectors
     assert "not closed" in outcomes
+
+
+@pytest.mark.parametrize("case", ["sl2-full", "sl3-reduced"])
+def test_certificates_run_the_filtration_once(case, sl2, sl3, monkeypatch):
+    if case == "sl2-full":
+        (alg, cd), z, mode = sl2, Z_REG, "full"
+    else:
+        monkeypatch.setenv(GRAM_LIMIT_ENV, "0")
+        (alg, cd), z, mode = sl3, Z_SL3, "reduced"
+    fresh = generated_subalgebra(alg, cd, z)
+    calls = count_filtrations(monkeypatch)
+    for func in (is_k_regular, nilcone_test):
+        del calls[:]
+        cert = func(alg, cd, z)
+        assert len(calls) == 1, func.__name__
+        assert cert.mode == mode
+        assert cert.subalgebra.to_dict() == fresh.to_dict()
+        assert cert.subalgebra.basis == fresh.basis
+
+
+def test_certificate_dict_omits_the_subalgebra(sl2):
+    alg, cd = sl2
+    cert = is_k_regular(alg, cd, Z_REG)
+    keys = {"degree_cap", "mode", "rank", "dim_g", "verdict", "witnesses",
+            "gram_hash"}
+    assert cert.subalgebra is not None
+    assert set(cert.to_dict()) == keys
+    assert set(cert.to_dict(include_matrix=True)) == keys | {"gram"}
+
+
+@pytest.mark.parametrize("func", [is_k_regular, nilcone_test])
+def test_rank_dimension_disagreement_is_a_soundness_error(func, sl2,
+                                                          monkeypatch):
+    alg, cd = sl2
+    flip_regularity(monkeypatch)
+    for z in (Z_REG, Z_NIL):
+        with pytest.raises(SoundnessError, match="disagree"):
+            func(alg, cd, z)
+
+
+@pytest.mark.parametrize("func", [is_k_regular, nilcone_test])
+def test_jobs_below_one_rejected(func, sl2):
+    alg, cd = sl2
+    with pytest.raises(ValueError, match="jobs"):
+        func(alg, cd, Z_REG, jobs=0)

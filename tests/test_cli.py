@@ -69,6 +69,29 @@ def test_algebra_validate_rejects_corrupt_file(runner, tmp_path):
     assert json.loads(result.output)["failed_check"] == "theta-involution"
 
 
+@pytest.mark.parametrize("key", ["structure", "theta", "basis_labels"])
+def test_algebra_file_with_non_list_field_is_input_error(runner, tmp_path, key):
+    dumped = runner.invoke(main, ["algebra", "dump", "-a", "sl2"])
+    doc = json.loads(dumped.output)
+    doc[key] = 5
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["algebra", "info", "-f", str(path)])
+    assert result.exit_code == 2
+    assert key in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("command", [["gram"], ["regular", "test"],
+                                     ["nilcone", "test"]])
+def test_jobs_below_one_is_input_error(runner, z_regular, command):
+    result = runner.invoke(
+        main, [*command, "-a", "sl2", "-e", z_regular, "--jobs", "0"])
+    assert result.exit_code == 2
+    assert "--jobs" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_unknown_algebra_is_input_error(runner):
     result = runner.invoke(main, ["algebra", "info", "-a", "e8"])
     assert result.exit_code == 2
@@ -212,7 +235,7 @@ def test_malformed_gram_limit_is_input_error(runner):
 
 
 @pytest.mark.parametrize("flag, value", [("--box", "-1"), ("--samples", "-5"),
-                                         ("--samples", "0")])
+                                         ("--samples", "0"), ("--jobs", "0")])
 def test_verify_rejects_out_of_range_flags(runner, flag, value):
     result = runner.invoke(
         main, ["verify", "-a", "sl2", "--suite", "stabilization", flag, value])

@@ -6,6 +6,7 @@ from kregular.linalg import (
     EchelonSpan,
     MatrixQ,
     is_nilpotent_matrix,
+    linear_combination,
     nilpotency_exponent,
     nullspace_of,
     rank_of,
@@ -87,6 +88,19 @@ def test_solve_in_span():
     assert c == (Scalar(2), Scalar(3))
     assert solve_in_span(basis, (ONE, ZERO, ZERO)) is None
     assert span_contains(basis, (ZERO, ZERO, ZERO))
+
+
+def test_linear_combination_matches_matvec():
+    rng = random.Random(5)
+    m = random_matrix(rng, 4, 3)
+    coeffs = (Scalar(2, -1), ZERO, Scalar(-3), Scalar(1, 4))
+    # sum of c_j times column j is the matrix-vector product
+    assert linear_combination(coeffs, [m.column(j) for j in range(3)], 4) \
+        == m.matvec(coeffs[:3])
+    assert linear_combination(coeffs, [m.row(i) for i in range(4)], 3) \
+        == m.transpose().matvec(coeffs)
+    assert linear_combination([], [], 2) == (ZERO, ZERO)
+    assert linear_combination([ZERO], [(ONE, I)], 2) == (ZERO, ZERO)
 
 
 def test_reduced_basis_depends_only_on_the_span():

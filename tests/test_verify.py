@@ -1,6 +1,7 @@
 import pytest
 
 from kregular import verify
+from kregular.certify import GRAM_LIMIT_ENV
 from kregular.catalog import catalog_build
 from kregular.errors import SoundnessError
 from kregular.linalg import MatrixQ
@@ -15,6 +16,8 @@ from kregular.verify import (
 from kregular.words import witt_dimension
 
 import random
+
+from conftest import count_filtrations, flip_regularity
 
 
 def test_all_suites_pass_on_sl2(sl2):
@@ -51,6 +54,30 @@ def test_jobs_do_not_change_report(sl2):
     assert a.body_dict() == b.body_dict()
 
 
+def test_suites_reuse_the_certificate_filtration(sl2, su21, monkeypatch):
+    monkeypatch.setenv(GRAM_LIMIT_ENV, "0")  # reduced mode keeps su21 fast
+    calls = count_filtrations(monkeypatch, verify)
+    alg, cd = su21
+    report = verify_suite(alg, cd, "regularity", seed=1, samples=3)
+    assert report.ok
+    assert len(calls) == 3
+    del calls[:]
+    alg, cd = sl2
+    report = verify_suite(alg, cd, "nilcone", seed=1, samples=3)
+    assert report.ok
+    assert len(calls) == len(verify._sl2_curated(alg)) + 3
+
+
+def test_nilcone_suite_records_a_soundness_error(sl2, monkeypatch):
+    alg, cd = sl2
+    flip_regularity(monkeypatch)
+    report = verify_suite(alg, cd, "nilcone", seed=0, samples=2)
+    cartan = {r.name: r for r in report.records}["cartan-criterion"]
+    assert cartan.failures == cartan.checks_run \
+        == len(verify._sl2_curated(alg)) + 2
+    assert "disagree" in cartan.first_counterexample
+
+
 def test_unknown_suite_rejected(sl2):
     alg, cd = sl2
     with pytest.raises(ValueError):
@@ -63,6 +90,8 @@ def test_negative_samples_and_box_rejected(sl2):
         verify_suite(alg, cd, "stabilization", samples=-5)
     with pytest.raises(ValueError, match="box"):
         verify_suite(alg, cd, "stabilization", samples=1, box=-1)
+    with pytest.raises(ValueError, match="jobs"):
+        verify_suite(alg, cd, "stabilization", samples=1, jobs=0)
 
 
 def test_soundness_error_is_a_recorded_failure(sl2, monkeypatch):
