@@ -10,15 +10,13 @@ from kregular import (
     catalog_datum,
     centralizer_in_k,
     construct_regular,
-    generated_subalgebra,
-    is_k_regular,
 )
 
 
 def show(alg, cd, datum, title):
     ez = construct_regular(alg, cd, datum)
-    cert = is_k_regular(alg, cd, ez.z)
-    rep = generated_subalgebra(alg, cd, ez.z)
+    cert = ez.certificate
+    rep = cert.subalgebra
     cz = centralizer_in_k(alg, cd, rep)
     print(title)
     print(f"  y (regular in a): ({', '.join(str(c) for c in ez.y)})")

@@ -8,7 +8,7 @@ Gram-certificate pairing consults it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .linalg import (
     EchelonSpan,
@@ -22,6 +22,9 @@ from .linalg import (
     vec_is_zero,
 )
 from .scalar import ONE, ZERO, Scalar
+
+if TYPE_CHECKING:
+    from .certify import GramCertificate
 
 # sparse bracket value: tuple of (basis_index, coefficient)
 SparseVec = tuple
@@ -212,11 +215,14 @@ class CartanDecomposition:
 
 @dataclass(frozen=True)
 class ElementZ:
-    """z = x + y with x the k-part and y the p-part."""
+    """z = x + y with x the k-part and y the p-part; construct_regular
+    attaches the regularity certificate it computed as `certificate`."""
 
     z: Vector
     x: Vector
     y: Vector
+    certificate: Optional["GramCertificate"] = field(
+        default=None, compare=False, repr=False)
 
 
 def decompose(cd: CartanDecomposition, z: Sequence[Scalar]) -> ElementZ:

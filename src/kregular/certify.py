@@ -166,6 +166,12 @@ class GramCertificate:
         return d
 
 
+def _check_jobs(jobs: int) -> None:
+    """jobs is accepted for compatibility and has no effect, but must be >= 1."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+
+
 def full_gram_side(degree_cap: int) -> int:
     """d(cap): number of Lyndon words of degree <= cap."""
     return sum(witt_dimension(j) for j in range(1, degree_cap + 1))
@@ -200,8 +206,7 @@ def gram_matrix(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
         raise ValueError("degree cap must be >= 1")
     if mode not in ("full", "reduced"):
         raise ValueError(f"unknown gram mode {mode!r}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    _check_jobs(jobs)
     if mode == "full":
         side = full_gram_side(cap)
         limit = gram_size_limit()
@@ -230,15 +235,14 @@ def _feasible_mode(alg: LieAlgebra, override_limit: bool) -> str:
 
 
 def _certify(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
-             jobs: int, override_limit: bool) -> GramCertificate:
+             override_limit: bool) -> GramCertificate:
     """Gram in the feasible mode with verdict k-regular or neither.
 
     The rank verdict is cross-checked against dim g(z) from the same
     certificate; disagreement is a bug and raises SoundnessError.
     """
     mode = _feasible_mode(alg, override_limit)
-    cert = gram_matrix(alg, cd, z, mode=mode, jobs=jobs,
-                       override_limit=override_limit)
+    cert = gram_matrix(alg, cd, z, mode=mode, override_limit=override_limit)
     dim_gz = cert.subalgebra.dim
     gram_says = cert.rank == alg.dim
     if gram_says != (dim_gz == alg.dim):
@@ -253,10 +257,13 @@ def is_k_regular(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
                  jobs: int = 1, override_limit: bool = False) -> GramCertificate:
     """Regularity certificate: Gram rank equals dim g iff g(z) = g.
 
-    A k-regular verdict carries the pivot rows and columns of a
-    nonsingular dim g x dim g minor as its witness.  jobs has no effect.
+    A k-regular verdict carries as its witness the first dim g independent
+    rows of the Gram and, within them, the first independent columns: a
+    nonsingular minor, principal since the Gram is symmetric.  jobs has
+    no effect.
     """
-    cert = _certify(alg, cd, z, jobs, override_limit)
+    _check_jobs(jobs)
+    cert = _certify(alg, cd, z, override_limit)
     if cert.verdict == VERDICT_REGULAR:
         cert.witnesses = {"minor_rows": cert.pivot_rows,
                           "minor_cols": cert.pivot_cols}
@@ -272,7 +279,8 @@ def nilcone_test(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
     as witnesses.  Otherwise the verdict is k-regular or neither, with
     no witness.  jobs has no effect.
     """
-    cert = _certify(alg, cd, z, jobs, override_limit)
+    _check_jobs(jobs)
+    cert = _certify(alg, cd, z, override_limit)
     if cert.gram.is_zero():
         ez = decompose(cd, z)
         ex = nilpotency_exponent(ad_matrix(alg, ez.x))

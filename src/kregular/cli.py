@@ -38,6 +38,9 @@ from .words import LyndonWord, evaluate_word, is_lyndon, lyndon_basis
 EXIT_FAILURE = 1
 EXIT_INPUT = 2
 
+# lyndon_basis(d) holds about 2^d / d words of degree d: 8,800 in all at 16
+MAX_WORD_DEGREE = 16
+
 
 def _fail_input(msg: str):
     click.echo(f"error: {msg}", err=True)
@@ -73,6 +76,9 @@ file_opt = click.option("--file", "-f", default=None, type=click.Path(),
 jobs_opt = click.option("--jobs", "-j", default=1, show_default=True,
                         type=click.IntRange(min=1),
                         help="accepted for compatibility; has no effect")
+degree_opt = click.option("--degree", "-d", default=6, show_default=True,
+                          type=click.IntRange(1, MAX_WORD_DEGREE),
+                          help="largest Lyndon-word degree")
 
 
 @click.group()
@@ -135,11 +141,9 @@ def algebra_dump(algebra):
 
 
 @main.command()
-@click.option("--degree", "-d", default=6, show_default=True)
+@degree_opt
 def hall(degree):
     """List the Lyndon-word basis by degree, with bracketings."""
-    if degree < 1:
-        _fail_input("--degree must be >= 1")
     groups = lyndon_basis(degree)
     _emit({
         "degrees": [
@@ -251,11 +255,10 @@ def regular_construct(algebra, file, datum_path, out):
     except (SchemaError, ValidationFailure, CatalogError, OSError) as exc:
         _fail_input(str(exc))
     ez = construct_regular(alg, cd, datum)
-    cert = is_k_regular(alg, cd, ez.z)
     doc = {
         "element": kio.dump_element(ez.z),
         "element_pretty": [str(c) for c in ez.z],
-        "certificate": cert.to_dict(),
+        "certificate": ez.certificate.to_dict(),
     }
     if out is not None:
         kio.write_json(out, kio.dump_element(ez.z))
@@ -297,7 +300,7 @@ def bounds(algebra, file):
 @file_opt
 @click.option("--element", "-e", "element_path", required=True, type=click.Path())
 @click.option("--element2", "-e2", "element2_path", required=True, type=click.Path())
-@click.option("--degree", "-d", default=6, show_default=True)
+@degree_opt
 def separate(algebra, file, element_path, element2_path, degree):
     """Search for an invariant separating two elements (inconclusive if none)."""
     alg, cd = _resolve_algebra(algebra, file)

@@ -1,14 +1,14 @@
-"""Dense exact matrices over Q(i) and the fraction-free linear algebra kernel.
+"""Dense exact matrices over Q(i) and the one elimination kernel, EchelonSpan.
 
-Rank uses Bareiss elimination on a denominator-cleared copy with pivots
-chosen to minimise total bit length; nullspaces come from a division-based
-reduced echelon form.  Both are exact, so rank + nullity is an identity,
-not an approximation.
+Every rank, witness minor, reduced basis, nullspace and solve is an
+EchelonSpan pass over the rows in their given order, followed where needed
+by its rref().  The witness of a rank is the first independent rows and,
+within them, the first independent columns.  All of it is exact, so
+rank + nullity is an identity, not an approximation.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence
 
 from .scalar import ONE, ZERO, Scalar
@@ -179,98 +179,19 @@ class MatrixQ:
         return f"MatrixQ({self.rows}x{self.cols}: {body})"
 
 
-def _cleared_rows(m: MatrixQ) -> list:
-    """Row-scaled copy with all denominators cleared (rank-preserving)."""
-    out = []
-    for i in range(m.rows):
-        row = list(m.row(i))
-        lcm = 1
-        for s in row:
-            lcm = math.lcm(lcm, int(s.re.denominator), int(s.im.denominator))
-        if lcm != 1:
-            c = Scalar(lcm)
-            row = [c * s for s in row]
-        out.append(row)
-    return out
-
-
 def rank_profile(m: MatrixQ) -> tuple:
-    """Bareiss elimination with full, bit-size-minimising pivoting.
-
-    Returns (rank, pivot_rows, pivot_cols) with indices into the original
-    matrix; the index sets locate a nonsingular rank x rank minor.
-    """
-    a = _cleared_rows(m)
-    nr, nc = m.rows, m.cols
-    row_idx = list(range(nr))
-    col_idx = list(range(nc))
-    prev = ONE
-    rank = 0
-    for k in range(min(nr, nc)):
-        best = None
-        for i in range(k, nr):
-            ai = a[i]
-            for j in range(k, nc):
-                s = ai[j]
-                if s:
-                    sz = s.bit_size()
-                    if best is None or sz < best[0]:
-                        best = (sz, i, j)
-        if best is None:
-            break
-        _, pi, pj = best
-        if pi != k:
-            a[k], a[pi] = a[pi], a[k]
-            row_idx[k], row_idx[pi] = row_idx[pi], row_idx[k]
-        if pj != k:
-            for r in a:
-                r[k], r[pj] = r[pj], r[k]
-            col_idx[k], col_idx[pj] = col_idx[pj], col_idx[k]
-        piv = a[k][k]
-        for i in range(k + 1, nr):
-            aik = a[i][k]
-            ai, ak = a[i], a[k]
-            for j in range(k + 1, nc):
-                ai[j] = (piv * ai[j] - aik * ak[j]) / prev
-            ai[k] = ZERO
-        prev = piv
-        rank += 1
-    return rank, sorted(row_idx[:rank]), sorted(col_idx[:rank])
+    """(rank, pivot_rows, pivot_cols): the first independent rows and,
+    within them, the first independent columns (the pivots of their
+    echelon form).  They locate a nonsingular rank x rank minor, a
+    principal one when m is symmetric."""
+    span = EchelonSpan(m.cols)
+    rows = [i for i in range(m.rows) if span.add(m.row(i))]
+    return len(rows), rows, [pc for pc, _ in span._reduced]
 
 
 def rank_of(m: MatrixQ) -> int:
     """Exact rank over the fraction field."""
     return rank_profile(m)[0]
-
-
-def _rref(rows: list, ncols: int) -> tuple:
-    """In-place reduced row echelon form; returns (rank, pivot_cols)."""
-    pivots = []
-    r = 0
-    nr = len(rows)
-    for c in range(ncols):
-        best = None
-        for i in range(r, nr):
-            s = rows[i][c]
-            if s:
-                sz = s.bit_size()
-                if best is None or sz < best[0]:
-                    best = (sz, i)
-        if best is None:
-            continue
-        _, pi = best
-        rows[r], rows[pi] = rows[pi], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return r, pivots
 
 
 def reduced_basis(vectors: Iterable, dim: int) -> list:
@@ -280,23 +201,22 @@ def reduced_basis(vectors: Iterable, dim: int) -> list:
     their entries stay small: a spanning set of the whole space reduces to
     the identity basis.  Use it where only the span matters.
     """
-    rows = [list(v) for v in vectors]
-    rank, _ = _rref(rows, dim)
-    return [tuple(r) for r in rows[:rank]]
+    span = EchelonSpan(dim)
+    span.extend(vectors)
+    return [tuple(r) for r in span.rref()[1]]
 
 
 def nullspace_of(m: MatrixQ) -> list:
     """Basis of the right nullspace; empty iff rank = cols."""
-    rows = m.row_list()
-    rank, pivots = _rref(rows, m.cols)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
+    span = EchelonSpan(m.cols)
+    span.extend(m.row(i) for i in range(m.rows))
+    pivots, rows = span.rref()
     basis = []
-    for f in free:
+    for f in (c for c in range(m.cols) if c not in pivots):
         v = [ZERO] * m.cols
         v[f] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][f]
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[f]
         basis.append(tuple(v))
     return basis
 
@@ -305,13 +225,15 @@ def solve_in_span(basis: MatrixQ, v: Sequence[Scalar]):
     """Coefficients c with basis @ c = v, or None if v is outside the column span."""
     if len(v) != basis.rows:
         raise ValueError("dimension mismatch")
-    rows = [list(basis.row(i)) + [v[i]] for i in range(basis.rows)]
-    rank, pivots = _rref(rows, basis.cols + 1)
-    if basis.cols in pivots:
+    n = basis.cols
+    span = EchelonSpan(n + 1)
+    span.extend(basis.row(i) + (v[i],) for i in range(basis.rows))
+    pivots, rows = span.rref()
+    if n in pivots:
         return None
-    coeffs = [ZERO] * basis.cols
-    for r, pc in enumerate(pivots):
-        coeffs[pc] = rows[r][basis.cols]
+    coeffs = [ZERO] * n
+    for row, pc in zip(rows, pivots):
+        coeffs[pc] = row[n]
     return tuple(coeffs)
 
 
@@ -350,10 +272,12 @@ def nilpotency_exponent(m: MatrixQ):
 
 
 class EchelonSpan:
-    """An incrementally built subspace with exact membership tests.
+    """An incrementally built subspace with exact membership tests; the
+    package's only elimination routine.
 
-    Keeps the original inserted vectors (as a basis) alongside reduced
-    rows for fast reduction.
+    Keeps the original inserted vectors (as a basis) alongside echelon
+    rows, sorted by pivot column, for fast reduction; rref() derives the
+    reduced form from those rows on demand.
     """
 
     def __init__(self, ambient_dim: int):
@@ -389,6 +313,20 @@ class EchelonSpan:
                 self.basis.append(tuple(v))
                 return True
         return False
+
+    def rref(self) -> tuple:
+        """(pivot_cols, rows) of the reduced row echelon form, which depends
+        only on the span; back-substitutes copies, leaving the span as is."""
+        pivots = [pc for pc, _ in self._reduced]
+        rows = [list(row) for _, row in self._reduced]
+        for k in range(len(rows) - 1, 0, -1):
+            pk, row_k = pivots[k], rows[k]
+            for row in rows[:k]:
+                c = row[pk]
+                if c:
+                    for j in range(pk, self.ambient_dim):
+                        row[j] = row[j] - c * row_k[j]
+        return pivots, rows
 
     def extend(self, vectors: Iterable) -> None:
         for v in vectors:

@@ -294,7 +294,8 @@ def construct_regular(alg: LieAlgebra, cd: CartanDecomposition,
                       datum: RestrictedRootDatum) -> ElementZ:
     """Deterministic K-regular element z = x + y from the datum.
 
-    The output is certified on the spot; a failed certificate would be a
+    The output is certified on the spot and carries that certificate, with
+    its g(z), as ElementZ.certificate; a failed certificate would be a
     soundness bug and raises SoundnessError.
     """
     from .certify import is_k_regular
@@ -315,10 +316,9 @@ def construct_regular(alg: LieAlgebra, cd: CartanDecomposition,
             x[k] = x[k] + contrib[k]
     x = tuple(x)
     z = vec_add(x, y)
-    ez = ElementZ(z=z, x=x, y=tuple(y))
     cert = is_k_regular(alg, cd, z)
     if cert.verdict != "k-regular":
         raise SoundnessError(
             "constructed element failed the regularity certificate; this "
             "contradicts the construction theorem and is a bug")
-    return ez
+    return ElementZ(z=z, x=x, y=tuple(y), certificate=cert)

@@ -1,16 +1,12 @@
 """Exact Gaussian-rational scalars: a + b*i with a, b rational.
 
 All arithmetic in the package runs through this class; nothing is ever
-rounded.  gmpy2's mpq is used when available (much faster gcd), with
-fractions.Fraction as a drop-in fallback.
+rounded.  Both parts are fractions.Fraction.
 """
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as _Q
+from fractions import Fraction as _Q
 
 
 def _as_int(v) -> int:
@@ -33,8 +29,8 @@ class Scalar:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if type(re) is type(_ZQ) else _Q(re))
-        object.__setattr__(self, "im", im if type(im) is type(_ZQ) else _Q(im))
+        object.__setattr__(self, "re", re if type(re) is _Q else _Q(re))
+        object.__setattr__(self, "im", im if type(im) is _Q else _Q(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -50,12 +46,8 @@ class Scalar:
         return cls(_Q(rn, rd), _Q(im_n, im_d))
 
     def to_quad(self) -> list:
-        return [
-            int(self.re.numerator),
-            int(self.re.denominator),
-            int(self.im.numerator),
-            int(self.im.denominator),
-        ]
+        return [self.re.numerator, self.re.denominator,
+                self.im.numerator, self.im.denominator]
 
     def __add__(self, other) -> "Scalar":
         other = _coerce(other)
@@ -112,15 +104,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self
 
-    def bit_size(self) -> int:
-        """Total bit length of all four integer components (pivot-selection cost)."""
-        return (
-            int(self.re.numerator).bit_length()
-            + int(self.re.denominator).bit_length()
-            + int(self.im.numerator).bit_length()
-            + int(self.im.denominator).bit_length()
-        )
-
     def __str__(self) -> str:
         if self.im == 0:
             return _frac_str(self.re)
@@ -141,8 +124,6 @@ def _coerce(v) -> Scalar:
         return Scalar(v)
     raise TypeError(f"cannot coerce {v!r} to Scalar")
 
-
-_ZQ = _Q(0)
 
 ZERO = Scalar(0)
 ONE = Scalar(1)

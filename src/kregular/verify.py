@@ -149,7 +149,7 @@ def _sl2_curated(alg: LieAlgebra):
     return [zero, witness, e, e_minus_f, h]
 
 
-def _suite_stabilization(alg, cd, rng, samples, jobs, box, datum) -> list:
+def _suite_stabilization(alg, cd, rng, samples, box, datum) -> list:
     rec = PropertyRecord(
         "stabilization",
         "the filtration of the subalgebra generated by the k- and p-parts "
@@ -167,7 +167,7 @@ def _suite_stabilization(alg, cd, rng, samples, jobs, box, datum) -> list:
     return [rec]
 
 
-def _suite_regularity(alg, cd, rng, samples, jobs, box, datum) -> list:
+def _suite_regularity(alg, cd, rng, samples, box, datum) -> list:
     rank_bound = PropertyRecord(
         "rank-bound",
         "Gram rank never exceeds dim g(z), with equality when g(z) = g",
@@ -178,15 +178,17 @@ def _suite_regularity(alg, cd, rng, samples, jobs, box, datum) -> list:
         "on regularity for every input",
     )
     n = alg.dim
-    elements = [sample_element(alg, rng, box) for _ in range(samples)]
+    elements = [decompose(cd, sample_element(alg, rng, box))
+                for _ in range(samples)]
     if datum is not None:
         try:
-            elements.append(construct_regular(alg, cd, datum).z)
+            elements.append(construct_regular(alg, cd, datum))
         except SoundnessError as exc:
             agreement.check(False, str(exc))
-    for z in elements:
+    for ez in elements:
         try:
-            cert = is_k_regular(alg, cd, z, jobs=jobs)
+            # the constructed element already carries its certificate
+            cert = ez.certificate or is_k_regular(alg, cd, ez.z)
         except SoundnessError as exc:
             agreement.check(False, str(exc))
             continue
@@ -197,7 +199,7 @@ def _suite_regularity(alg, cd, rng, samples, jobs, box, datum) -> list:
     return [agreement, rank_bound]
 
 
-def _suite_invariance(alg, cd, rng, samples, jobs, box, datum) -> list:
+def _suite_invariance(alg, cd, rng, samples, box, datum) -> list:
     residual = PropertyRecord(
         "residual-zero",
         "the first-order change of every word-pair invariant along every "
@@ -250,7 +252,7 @@ def _is_nil_by_solvability(alg, rep) -> bool:
     )
 
 
-def _suite_nilcone(alg, cd, rng, samples, jobs, box, datum) -> list:
+def _suite_nilcone(alg, cd, rng, samples, box, datum) -> list:
     cartan = PropertyRecord(
         "cartan-criterion",
         "vanishing Gram with nilpotent ad x, ad y agrees with solvability "
@@ -271,7 +273,7 @@ def _suite_nilcone(alg, cd, rng, samples, jobs, box, datum) -> list:
     elements.extend(sample_element(alg, rng, box) for _ in range(samples))
     for z in elements:
         try:
-            cert = nilcone_test(alg, cd, z, jobs=jobs)
+            cert = nilcone_test(alg, cd, z)
         except SoundnessError as exc:
             cartan.check(False, str(exc))
             continue
@@ -306,7 +308,7 @@ def _killing_dual_in_a(alg, datum, root):
     return linear_combination(coeffs, datum.a_basis, alg.dim)
 
 
-def _suite_appendix(alg, cd, rng, samples, jobs, box, datum) -> list:
+def _suite_appendix(alg, cd, rng, samples, box, datum) -> list:
     certified = PropertyRecord(
         "construct-certified",
         "the deterministic construction yields a certified K-regular element",
@@ -346,9 +348,8 @@ def _suite_appendix(alg, cd, rng, samples, jobs, box, datum) -> list:
         certified.check(False, str(exc))
         return [certified]
 
-    # one reduction of g(z) serves both span-only checks
-    g_z_basis = reduced_basis(generated_subalgebra(alg, cd, ez.z).basis,
-                              alg.dim)
+    # one reduction of the certificate's g(z) serves both span-only checks
+    g_z_basis = reduced_basis(ez.certificate.subalgebra.basis, alg.dim)
     cz = centralizer(alg, cd.k_basis, g_z_basis)
     empty_centralizer.check(len(cz) == 0, f"centralizer dim {len(cz)}")
 
@@ -396,7 +397,7 @@ def brute_force_lyndon_count(degree: int) -> int:
     return count
 
 
-def _suite_witt(alg, cd, rng, samples, jobs, box, datum) -> list:
+def _suite_witt(alg, cd, rng, samples, box, datum) -> list:
     formula = PropertyRecord(
         "witt-formula",
         "Lyndon word counts per degree match the necklace-count formula "
@@ -420,7 +421,7 @@ _EXPECTED_BOUNDS = {"sl2": (3, 6, 30), "sl3": (8, 16, 600),
                     "sl4": (15, 30, 3915)}
 
 
-def _suite_bounds(alg, cd, rng, samples, jobs, box, datum) -> list:
+def _suite_bounds(alg, cd, rng, samples, box, datum) -> list:
     rec = PropertyRecord(
         "degree-bound",
         "the generation degree bound equals C(2n, 2) * dim p",
@@ -437,7 +438,7 @@ def _suite_bounds(alg, cd, rng, samples, jobs, box, datum) -> list:
     return [rec]
 
 
-# every suite takes (alg, cd, rng, samples, jobs, box, datum)
+# every suite takes (alg, cd, rng, samples, box, datum)
 _SUITE_FUNCS = {
     "stabilization": _suite_stabilization,
     "invariance": _suite_invariance,
@@ -469,7 +470,7 @@ def verify_suite(alg: LieAlgebra, cd: CartanDecomposition, suite: str,
     records = []
     for name in names:
         rng = random.Random(seed)
-        records.extend(_SUITE_FUNCS[name](alg, cd, rng, samples, jobs, box, datum))
+        records.extend(_SUITE_FUNCS[name](alg, cd, rng, samples, box, datum))
     report = VerifyReport(suite=suite, algebra=alg.name, seed=seed,
                           samples=samples, records=records)
     report.wall_time_s = time.monotonic() - start

@@ -13,7 +13,7 @@ from kregular import io as kio
 from kregular.certify import GRAM_LIMIT_ENV
 from kregular.cli import main
 
-from conftest import vec
+from conftest import count_filtrations, vec
 
 
 @pytest.fixture
@@ -107,6 +107,24 @@ def test_hall(runner):
     assert deg3 == {"XXY": "[X,[X,Y]]", "XYY": "[[X,Y],Y]"}
 
 
+@pytest.mark.parametrize("command", [["hall"], ["separate", "-a", "sl2"]])
+@pytest.mark.parametrize("degree", ["0", "17"])
+def test_word_degree_out_of_range_is_input_error(runner, z_regular, command,
+                                                 degree):
+    elements = ["-e", z_regular, "-e2", z_regular] if len(command) > 1 else []
+    result = runner.invoke(main, [*command, *elements, "--degree", degree])
+    assert result.exit_code == 2
+    assert "--degree" in result.output
+    assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+def test_hall_at_the_degree_bound(runner):
+    result = runner.invoke(main, ["hall", "--degree", "16"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["total"] == 8800
+
+
 def test_eval(runner, z_regular):
     result = runner.invoke(
         main, ["eval", "-a", "sl2", "-w", "XY", "-e", z_regular])
@@ -171,6 +189,14 @@ def test_regular_construct(runner, tmp_path):
     assert doc["certificate"]["verdict"] == "k-regular"
     assert doc["element_pretty"] == ["1", "1", "-1"]
     assert kio.read_json(str(out)) == doc["element"]
+
+
+def test_regular_construct_certifies_once(runner, monkeypatch):
+    calls = count_filtrations(monkeypatch)
+    result = runner.invoke(main, ["regular", "construct", "-a", "sl3"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["certificate"]["verdict"] == "k-regular"
+    assert len(calls) == 1
 
 
 def test_nilcone_exit_codes(runner, z_regular, z_nil):

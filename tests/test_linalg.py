@@ -1,6 +1,9 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kregular.linalg import (
     EchelonSpan,
@@ -233,3 +236,209 @@ def test_matrix_shape_errors():
         MatrixQ.identity(2).matvec((ONE,))
     with pytest.raises(ValueError):
         MatrixQ.zeros(2, 3).trace()
+
+
+# Differential tests: EchelonSpan answers every rank, minor, nullspace and
+# solve; the in-file copies below are the kernels it replaced (full-pivoting
+# Bareiss with bit-size pivots, and a division-based RREF) and serve as the
+# reference.
+
+def _old_bit_size(s):
+    return sum(abs(v).bit_length() for v in s.to_quad())
+
+
+def _old_cleared_rows(m):
+    out = []
+    for i in range(m.rows):
+        row = list(m.row(i))
+        lcm = 1
+        for s in row:
+            lcm = math.lcm(lcm, s.re.denominator, s.im.denominator)
+        if lcm != 1:
+            row = [Scalar(lcm) * s for s in row]
+        out.append(row)
+    return out
+
+
+def _old_rank_profile(m):
+    a = _old_cleared_rows(m)
+    nr, nc = m.rows, m.cols
+    row_idx = list(range(nr))
+    col_idx = list(range(nc))
+    prev = ONE
+    rank = 0
+    for k in range(min(nr, nc)):
+        best = None
+        for i in range(k, nr):
+            for j in range(k, nc):
+                s = a[i][j]
+                if s and (best is None or _old_bit_size(s) < best[0]):
+                    best = (_old_bit_size(s), i, j)
+        if best is None:
+            break
+        _, pi, pj = best
+        a[k], a[pi] = a[pi], a[k]
+        row_idx[k], row_idx[pi] = row_idx[pi], row_idx[k]
+        for r in a:
+            r[k], r[pj] = r[pj], r[k]
+        col_idx[k], col_idx[pj] = col_idx[pj], col_idx[k]
+        piv = a[k][k]
+        for i in range(k + 1, nr):
+            aik = a[i][k]
+            for j in range(k + 1, nc):
+                a[i][j] = (piv * a[i][j] - aik * a[k][j]) / prev
+            a[i][k] = ZERO
+        prev = piv
+        rank += 1
+    return rank, sorted(row_idx[:rank]), sorted(col_idx[:rank])
+
+
+def _old_rref(rows, ncols):
+    pivots = []
+    r = 0
+    nr = len(rows)
+    for c in range(ncols):
+        best = None
+        for i in range(r, nr):
+            s = rows[i][c]
+            if s and (best is None or _old_bit_size(s) < best[0]):
+                best = (_old_bit_size(s), i)
+        if best is None:
+            continue
+        pi = best[1]
+        rows[r], rows[pi] = rows[pi], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [inv * x for x in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return r, pivots
+
+
+def _old_reduced_basis(vectors, dim):
+    rows = [list(v) for v in vectors]
+    rank, _ = _old_rref(rows, dim)
+    return [tuple(r) for r in rows[:rank]]
+
+
+def _old_nullspace_of(m):
+    rows = m.row_list()
+    _, pivots = _old_rref(rows, m.cols)
+    basis = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        v = [ZERO] * m.cols
+        v[f] = ONE
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def _old_solve_in_span(basis, v):
+    rows = [list(basis.row(i)) + [v[i]] for i in range(basis.rows)]
+    _, pivots = _old_rref(rows, basis.cols + 1)
+    if basis.cols in pivots:
+        return None
+    coeffs = [ZERO] * basis.cols
+    for r, pc in enumerate(pivots):
+        coeffs[pc] = rows[r][basis.cols]
+    return tuple(coeffs)
+
+
+gaussian_rationals = st.builds(
+    lambda a, b, c, d: Scalar(Fraction(a, b), Fraction(c, d)),
+    st.integers(-4, 4), st.integers(1, 3), st.integers(-4, 4),
+    st.integers(1, 3))
+entries = st.one_of(st.just(ZERO), gaussian_rationals)
+
+
+@st.composite
+def qi_matrices(draw, max_side=6):
+    """Rectangular Q(i) matrices with denominators, where each row is
+    drawn, zero, or a combination of two earlier rows."""
+    nr = draw(st.integers(1, max_side))
+    nc = draw(st.integers(1, max_side))
+    rows = []
+    for i in range(nr):
+        kind = draw(st.sampled_from(("drawn", "zero", "combination")))
+        if kind == "zero":
+            rows.append([ZERO] * nc)
+        elif kind == "combination" and i >= 2:
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            a, b = draw(gaussian_rationals), draw(gaussian_rationals)
+            rows.append([a * x + b * y for x, y in zip(rows[j], rows[k])])
+        else:
+            rows.append(draw(st.lists(entries, min_size=nc, max_size=nc)))
+    return MatrixQ.from_rows(rows)
+
+
+def _minor(m, rows, cols):
+    return MatrixQ(len(rows), len(cols), [m[i, j] for i in rows for j in cols])
+
+
+@settings(max_examples=150, deadline=None)
+@given(qi_matrices())
+def test_rank_profile_matches_bareiss(m):
+    rank, rows, cols = rank_profile(m)
+    assert rank == _old_rank_profile(m)[0]
+    assert len(rows) == len(cols) == rank
+    # the witness: first independent rows, then first independent columns
+    # within them; nonsingular under the old kernel
+    assert _old_rank_profile(_minor(m, rows, cols))[0] == rank
+    assert rows == [i for i in range(m.rows)
+                    if _old_rank_profile(_minor(m, range(i + 1), range(m.cols)))[0]
+                    > _old_rank_profile(_minor(m, range(i), range(m.cols)))[0]]
+    assert cols == [j for j in range(m.cols)
+                    if _old_rank_profile(_minor(m, rows, range(j + 1)))[0]
+                    > _old_rank_profile(_minor(m, rows, range(j)))[0]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(qi_matrices(max_side=5))
+def test_symmetric_witness_is_principal(a):
+    gram = a.matmul(a.transpose())
+    rank, rows, cols = rank_profile(gram)
+    assert rank == _old_rank_profile(gram)[0]
+    assert rows == cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(qi_matrices())
+def test_rref_nullspace_and_solve_match_old_kernel(m):
+    vectors = [m.row(i) for i in range(m.rows)]
+    assert reduced_basis(vectors, m.cols) == _old_reduced_basis(vectors, m.cols)
+    assert nullspace_of(m) == _old_nullspace_of(m)
+    inside = linear_combination([Scalar(j + 1, -j) for j in range(m.cols)],
+                                [m.column(j) for j in range(m.cols)], m.rows)
+    outside = tuple(Scalar(i * i - 2, 1) for i in range(m.rows))
+    for v in (inside, outside):
+        assert solve_in_span(m, v) == _old_solve_in_span(m, v)
+    assert solve_in_span(m, inside) is not None
+
+
+@settings(max_examples=40, deadline=None)
+@given(qi_matrices(max_side=5))
+def test_rank_matches_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    sm = sympy.Matrix(m.rows, m.cols, [
+        sympy.Rational(s.re.numerator, s.re.denominator)
+        + sympy.I * sympy.Rational(s.im.numerator, s.im.denominator)
+        for s in m.entries])
+    assert rank_of(m) == sm.rank(simplify=True)
+
+
+def test_rref_leaves_the_span_unchanged():
+    span = EchelonSpan(3)
+    span.extend([(ONE, Scalar(2), ZERO), (ONE, ZERO, ONE)])
+    before = [list(row) for _, row in span._reduced]
+    pivots, rows = span.rref()
+    assert pivots == [0, 1]
+    assert rows == [[ONE, ZERO, ONE], [ZERO, ONE, Scalar(Fraction(-1, 2))]]
+    assert [list(row) for _, row in span._reduced] == before
+    assert span.add((ZERO, ZERO, ONE)) and span.rref()[1] == [
+        [ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]

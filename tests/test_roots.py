@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from kregular.algebra import bracket, decompose
@@ -66,6 +68,13 @@ def test_construct_regular_sl2(sl2):
     assert ez.z == vec(3, e0=1, e1=1, e2=-1)  # h + (e - f)
     assert ez.x == vec(3, e1=1, e2=-1)
     assert ez.y == vec(3, e0=1)
+    # the certificate computed on the spot travels with the element
+    assert ez.certificate.verdict == "k-regular"
+    assert ez.certificate.to_dict() == is_k_regular(alg, cd, ez.z).to_dict()
+    assert ez.certificate.subalgebra.dim == alg.dim
+    assert ez == dataclasses.replace(ez, certificate=None)
+    assert "certificate" not in repr(ez)
+    assert decompose(cd, ez.z).certificate is None
 
 
 def test_construct_regular_sl3_sl4(sl3, sl4):

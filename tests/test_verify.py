@@ -1,6 +1,6 @@
 import pytest
 
-from kregular import verify
+from kregular import certify, verify
 from kregular.certify import GRAM_LIMIT_ENV
 from kregular.catalog import catalog_build
 from kregular.errors import SoundnessError
@@ -62,6 +62,17 @@ def test_suites_reuse_the_certificate_filtration(sl2, su21, monkeypatch):
     assert report.ok
     assert len(calls) == 3
     del calls[:]
+    # the constructed element is certified once, inside construct_regular
+    alg, cd = sl2
+    report = verify_suite(alg, cd, "regularity", seed=1, samples=3)
+    assert report.ok
+    assert len(calls) == 3 + 1
+    del calls[:]
+    # and the appendix reuses that g(z); only the determinism rerun adds one
+    report = verify_suite(alg, cd, "appendix", seed=1, samples=1)
+    assert report.ok
+    assert len(calls) == 2
+    del calls[:]
     alg, cd = sl2
     report = verify_suite(alg, cd, "nilcone", seed=1, samples=3)
     assert report.ok
@@ -100,7 +111,10 @@ def test_soundness_error_is_a_recorded_failure(sl2, monkeypatch):
     def broken(*args, **kwargs):
         raise SoundnessError("injected")
 
+    # the constructed element is certified inside construct_regular,
+    # which looks is_k_regular up in certify
     monkeypatch.setattr(verify, "is_k_regular", broken)
+    monkeypatch.setattr(certify, "is_k_regular", broken)
     regularity = verify_suite(alg, cd, "regularity", seed=0, samples=2)
     agreement = {r.name: r for r in regularity.records}["verdict-agreement"]
     assert agreement.failures == agreement.checks_run == 3
