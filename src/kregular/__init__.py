@@ -2,7 +2,8 @@
 of a complexified Cartan decomposition g = k + p.
 
 Everything is computed over the Gaussian rationals: ranks are certified
-by fraction-free elimination with explicit nonsingular-minor witnesses,
+by exact division-based elimination over Fraction (the one kernel,
+linalg.EchelonSpan) with explicit nonsingular-minor witnesses,
 and nullcone membership by the vanishing of an exact Gram matrix of
 Lyndon-word evaluations together with nilpotency of the adjoint actions.
 """
@@ -52,6 +53,7 @@ from .certify import (
 from .roots import (
     RestrictedRoot,
     RestrictedRootDatum,
+    build_regular,
     catalog_datum,
     choose_x0,
     choose_y,
@@ -86,8 +88,8 @@ __all__ = [
     "generated_subalgebra", "gram_matrix", "invariant_value", "is_k_regular",
     "is_solvable", "lie_derivative_residual", "nilcone_test", "power_trace",
     "separation_probe",
-    "RestrictedRoot", "RestrictedRootDatum", "catalog_datum", "choose_x0",
-    "choose_y", "construct_regular", "validate_datum", "zeta_value",
+    "RestrictedRoot", "RestrictedRootDatum", "build_regular", "catalog_datum",
+    "choose_x0", "choose_y", "construct_regular", "validate_datum", "zeta_value",
     "SUITES", "VerifyReport", "verify_suite",
     "CatalogError", "ConfigError", "DegreeBoundError", "GramSizeError",
     "KregularError", "SchemaError", "SoundnessError", "ValidationFailure",

@@ -19,6 +19,7 @@ from .linalg import (
     rank_of,
     reduced_basis,
     vec_add,
+    vec_dot,
     vec_is_zero,
 )
 from .scalar import ONE, ZERO, Scalar
@@ -176,12 +177,7 @@ def centralizer(alg: LieAlgebra, basis: Sequence, vectors: Sequence) -> list:
 
 def killing_pair(alg: LieAlgebra, u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     """B(u, v) = tr(ad u ad v), via the cached Killing matrix."""
-    bv = alg.killing.matvec(v)
-    acc = ZERO
-    for a, b in zip(u, bv):
-        if a and b:
-            acc = acc + a * b
-    return acc
+    return vec_dot(u, alg.killing.matvec(v))
 
 
 class CartanDecomposition:

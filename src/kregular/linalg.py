@@ -28,8 +28,13 @@ def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
+def vec_dot(u: Vector, v: Vector) -> Scalar:
+    """Sum of u_i * v_i, without conjugation; zero terms are skipped."""
+    acc = ZERO
+    for a, b in zip(u, v):
+        if a and b:
+            acc = acc + a * b
+    return acc
 
 
 def vec_scale(c: Scalar, u: Vector) -> Vector:

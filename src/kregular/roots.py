@@ -9,7 +9,8 @@ runs on the same datum produce identical output.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -222,22 +223,43 @@ def zeta_value(datum: RestrictedRootDatum, coeffs: Sequence[Scalar]) -> Scalar:
     return prod
 
 
+def _scaled_value_table(datum: RestrictedRootDatum) -> list:
+    """Root values times the lcm L > 0 of all their denominators, as
+    (re, im) integer pairs, one tuple per root."""
+    parts = [q for r in datum.roots for v in r.values for q in (v.re, v.im)]
+    scale = math.lcm(*(q.denominator for q in parts))
+    return [tuple((v.re.numerator * (scale // v.re.denominator),
+                   v.im.numerator * (scale // v.im.denominator))
+                  for v in r.values)
+            for r in datum.roots]
+
+
 def choose_y(datum: RestrictedRootDatum, max_half_width: int = 64) -> Vector:
     """First integer combination of the a-basis with all root values
-    pairwise distinct and nonzero."""
-    ambient = len(datum.a_basis[0]) if datum.a_basis else 0
+    pairwise distinct and nonzero.
+
+    The search runs over the Gaussian integers: scaling every root value by
+    one positive constant keeps zero and equality, so the first accepted
+    candidate is the same as over Q(i).
+    """
     if not datum.a_basis:
         raise ValueError("datum has an empty Cartan subspace")
     if not datum.roots:
         return datum.a_basis[0]
+    table = _scaled_value_table(datum)
     for tup in _box_candidates(datum.dim_a, max_half_width):
-        coeffs = [Scalar(c) for c in tup]
-        values = [r.value_at(coeffs) for r in datum.roots]
-        if any(not v for v in values):
-            continue
-        if len(set(values)) != len(values):
-            continue
-        return linear_combination(coeffs, datum.a_basis, ambient)
+        seen = set()
+        for row in table:
+            re = im = 0
+            for c, (vr, vi) in zip(tup, row):
+                re += c * vr
+                im += c * vi
+            if not (re or im) or (re, im) in seen:
+                break
+            seen.add((re, im))
+        else:
+            return linear_combination([Scalar(c) for c in tup],
+                                      datum.a_basis, len(datum.a_basis[0]))
     raise SoundnessError(
         "no valid y found; the search bound should never be reached for a "
         "valid datum")
@@ -290,16 +312,11 @@ def choose_x0(alg: LieAlgebra, datum: RestrictedRootDatum,
         "valid datum")
 
 
-def construct_regular(alg: LieAlgebra, cd: CartanDecomposition,
-                      datum: RestrictedRootDatum) -> ElementZ:
-    """Deterministic K-regular element z = x + y from the datum.
-
-    The output is certified on the spot and carries that certificate, with
-    its g(z), as ElementZ.certificate; a failed certificate would be a
-    soundness bug and raises SoundnessError.
-    """
-    from .certify import is_k_regular
-
+def build_regular(alg: LieAlgebra, cd: CartanDecomposition,
+                  datum: RestrictedRootDatum) -> ElementZ:
+    """The deterministic element z = x + y of the construction, without
+    its certificate: y from choose_y, x the theta-folded positive root
+    vectors plus x0 from choose_x0."""
     y = choose_y(datum)
     x0 = choose_x0(alg, datum)
     x = list(x0)
@@ -315,10 +332,23 @@ def construct_regular(alg: LieAlgebra, cd: CartanDecomposition,
         for k in range(alg.dim):
             x[k] = x[k] + contrib[k]
     x = tuple(x)
-    z = vec_add(x, y)
-    cert = is_k_regular(alg, cd, z)
+    return ElementZ(z=vec_add(x, y), x=x, y=tuple(y))
+
+
+def construct_regular(alg: LieAlgebra, cd: CartanDecomposition,
+                      datum: RestrictedRootDatum) -> ElementZ:
+    """Deterministic K-regular element z = x + y from the datum.
+
+    The output of build_regular is certified on the spot and carries that
+    certificate, with its g(z), as ElementZ.certificate; a failed
+    certificate would be a soundness bug and raises SoundnessError.
+    """
+    from .certify import is_k_regular
+
+    ez = build_regular(alg, cd, datum)
+    cert = is_k_regular(alg, cd, ez.z)
     if cert.verdict != "k-regular":
         raise SoundnessError(
             "constructed element failed the regularity certificate; this "
             "contradicts the construction theorem and is a bug")
-    return ElementZ(z=z, x=x, y=tuple(y), certificate=cert)
+    return replace(ez, certificate=cert)

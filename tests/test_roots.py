@@ -1,14 +1,19 @@
 import dataclasses
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kregular.algebra import bracket, decompose
+from kregular.catalog import catalog_build
 from kregular.certify import generated_subalgebra, is_k_regular
-from kregular.errors import CatalogError
-from kregular.linalg import vec_is_zero
+from kregular.errors import CatalogError, SoundnessError
+from kregular.linalg import linear_combination, vec_is_zero
 from kregular.roots import (
     RestrictedRoot,
     RestrictedRootDatum,
+    _box_candidates,
+    build_regular,
     catalog_datum,
     choose_x0,
     choose_y,
@@ -16,7 +21,7 @@ from kregular.roots import (
     validate_datum,
     zeta_value,
 )
-from kregular.scalar import Scalar, ZERO
+from kregular.scalar import I, Scalar, ZERO
 
 from conftest import sc, vec
 
@@ -56,6 +61,107 @@ def test_choose_y_sl3(sl3):
     assert all(values)
 
 
+def _old_choose_y(datum, max_half_width=64):
+    """choose_y as it was before the Gaussian-integer search: every
+    candidate's root values in Scalar arithmetic."""
+    ambient = len(datum.a_basis[0]) if datum.a_basis else 0
+    if not datum.a_basis:
+        raise ValueError("datum has an empty Cartan subspace")
+    if not datum.roots:
+        return datum.a_basis[0]
+    for tup in _box_candidates(datum.dim_a, max_half_width):
+        coeffs = [Scalar(c) for c in tup]
+        values = [r.value_at(coeffs) for r in datum.roots]
+        if any(not v for v in values):
+            continue
+        if len(set(values)) != len(values):
+            continue
+        return linear_combination(coeffs, datum.a_basis, ambient)
+    raise SoundnessError("no valid y found")
+
+
+def _outcome(choose, datum, **kwargs):
+    try:
+        return choose(datum, **kwargs)
+    except SoundnessError:
+        return "no y"
+
+
+def _value_table_datum(tables):
+    """A datum with only a-basis and root values: unit a-basis vectors
+    of C^(dim a), root spaces left empty."""
+    dim_a = len(tables[0])
+    basis = tuple(tuple(Scalar(int(i == k)) for i in range(dim_a))
+                  for k in range(dim_a))
+    roots = tuple(RestrictedRoot(tuple(t), ()) for t in tables)
+    return RestrictedRootDatum(a_basis=basis, hm_basis=(), roots=roots,
+                               positive=())
+
+
+def test_choose_y_matches_scalar_search_on_catalog_and_su21(su21_datum):
+    for n in (2, 3, 4, 5):
+        alg, cd = catalog_build("split-sl", n)
+        datum = catalog_datum(alg, cd)
+        assert choose_y(datum) == _old_choose_y(datum)
+    assert choose_y(su21_datum) == _old_choose_y(su21_datum)
+
+
+def test_choose_y_skips_vanishing_and_colliding_candidates():
+    half, third = Scalar(Fraction(1, 2)), I * Scalar(Fraction(1, 3))
+    datum = _value_table_datum([
+        (half, ZERO),  # vanishes at (0, 1) and (0, -1)
+        (ZERO, third),  # vanishes at (1, 0)
+        (third, half),  # collides with the next root at (1, 1)
+        (half, third),
+    ])
+    y = choose_y(datum)
+    assert y == (Scalar(1), Scalar(-1)) == _old_choose_y(datum)
+    # values that differ only in their denominators never collide
+    datum = _value_table_datum([(Scalar(Fraction(s, d)),)
+                                for s in (1, -1) for d in (2, 3)])
+    assert choose_y(datum) == (Scalar(1),) == _old_choose_y(datum)
+
+
+gaussian_rationals = st.builds(
+    lambda a, b, c, d: Scalar(Fraction(a, b), Fraction(c, d)),
+    st.integers(-3, 3), st.integers(1, 4), st.integers(-3, 3),
+    st.integers(1, 4))
+root_values = st.one_of(st.just(ZERO), st.just(Scalar(1)), gaussian_rationals)
+# a search that dropped denominators or mixed real and imaginary parts
+# would see false collisions between a root and these rescalings of it
+rescalings = st.sampled_from((Scalar(Fraction(1, 2)), Scalar(Fraction(2, 3)),
+                              I, I * Scalar(Fraction(1, 3))))
+
+
+@st.composite
+def value_tables(draw):
+    """Root-value tables whose early candidates often vanish or collide:
+    small entries, many zeros, and roots that repeat, negate or rescale
+    earlier ones."""
+    dim_a = draw(st.integers(1, 3))
+    tables = []
+    for i in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("drawn", "negated", "repeated",
+                                     "rescaled")))
+        if kind != "drawn" and i:
+            earlier = tables[draw(st.integers(0, i - 1))]
+            factor = draw(rescalings) if kind == "rescaled" \
+                else Scalar(-1 if kind == "negated" else 1)
+            tables.append(tuple(factor * v for v in earlier))
+        else:
+            tables.append(tuple(draw(st.lists(
+                root_values, min_size=dim_a, max_size=dim_a))))
+    return tables
+
+
+@settings(max_examples=150, deadline=None)
+@given(value_tables())
+def test_choose_y_matches_scalar_search_on_drawn_tables(tables):
+    datum = _value_table_datum(tables)
+    assert _outcome(choose_y, datum, max_half_width=3) \
+        == _outcome(_old_choose_y, datum, max_half_width=3)
+
+
 def test_choose_x0_trivial_for_split(sl3):
     alg, cd = sl3
     datum = catalog_datum(alg, cd)
@@ -75,6 +181,15 @@ def test_construct_regular_sl2(sl2):
     assert ez == dataclasses.replace(ez, certificate=None)
     assert "certificate" not in repr(ez)
     assert decompose(cd, ez.z).certificate is None
+
+
+def test_build_regular_is_the_uncertified_construction(sl2, su21,
+                                                      su21_datum):
+    for (alg, cd), datum in ((sl2, catalog_datum(*sl2)), (su21, su21_datum)):
+        built = build_regular(alg, cd, datum)
+        assert built.certificate is None
+        ez = construct_regular(alg, cd, datum)
+        assert (built.z, built.x, built.y) == (ez.z, ez.x, ez.y)
 
 
 def test_construct_regular_sl3_sl4(sl3, sl4):

@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from kregular import certify, verify
+from kregular import certify, roots, verify
 from kregular.certify import GRAM_LIMIT_ENV
 from kregular.catalog import catalog_build
 from kregular.errors import SoundnessError
@@ -68,15 +70,80 @@ def test_suites_reuse_the_certificate_filtration(sl2, su21, monkeypatch):
     assert report.ok
     assert len(calls) == 3 + 1
     del calls[:]
-    # and the appendix reuses that g(z); only the determinism rerun adds one
+    # and the appendix reuses that g(z); its determinism rerun rebuilds the
+    # element without certifying it again
     report = verify_suite(alg, cd, "appendix", seed=1, samples=1)
     assert report.ok
-    assert len(calls) == 2
+    assert len(calls) == 1
     del calls[:]
     alg, cd = sl2
     report = verify_suite(alg, cd, "nilcone", seed=1, samples=3)
     assert report.ok
     assert len(calls) == len(verify._sl2_curated(alg)) + 3
+
+
+def test_appendix_certifies_the_element_once(sl2, su21, su21_datum,
+                                             monkeypatch):
+    monkeypatch.setenv(GRAM_LIMIT_ENV, "0")  # reduced mode keeps su21 fast
+    calls = []
+    original = certify.is_k_regular
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # construct_regular looks is_k_regular up in certify
+    monkeypatch.setattr(certify, "is_k_regular", counting)
+    monkeypatch.setattr(verify, "is_k_regular", counting)
+    for (alg, cd), datum in ((sl2, None), (su21, su21_datum)):
+        del calls[:]
+        report = verify_suite(alg, cd, "appendix", seed=1, samples=1,
+                              datum=datum)
+        assert report.ok, report.body_dict()
+        assert len(calls) == 1
+
+
+def test_determinism_catches_a_nondeterministic_build(sl2, monkeypatch):
+    alg, cd = sl2
+    original = roots.build_regular
+    built = []
+
+    def drifting(*args):
+        ez = original(*args)
+        built.append(ez)
+        if len(built) == 1:
+            return ez
+        return dataclasses.replace(ez, z=(ez.z[0] + 1,) + ez.z[1:])
+
+    # construct_regular looks build_regular up in roots, the rerun in verify
+    monkeypatch.setattr(roots, "build_regular", drifting)
+    monkeypatch.setattr(verify, "build_regular", drifting)
+    report = verify_suite(alg, cd, "appendix", seed=0, samples=1)
+    assert len(built) == 2
+    records = {r.name: r for r in report.records}
+    determinism = records["determinism"]
+    assert (determinism.checks_run, determinism.failures) == (1, 1)
+    assert determinism.first_counterexample \
+        == "construction differs between runs"
+    assert report.failures == 1
+
+
+def test_invariance_residual_reads_the_killing_form(sl2):
+    good, cd = sl2
+    broken, _ = _sl2_with_identity_form()
+
+    def records(alg):
+        report = verify_suite(alg, cd, "invariance", seed=0, samples=1)
+        return {r.name: r for r in report.records}
+
+    good_recs, broken_recs = records(good), records(broken)
+    residual = broken_recs["residual-zero"]
+    assert good_recs["residual-zero"].failures == 0
+    assert residual.checks_run == good_recs["residual-zero"].checks_run
+    # the identity form is not ad-invariant, so some residual survives
+    assert residual.failures > 0
+    assert residual.first_counterexample.startswith("pair (")
+    assert broken_recs["equivariance"].failures == 0
 
 
 def test_nilcone_suite_records_a_soundness_error(sl2, monkeypatch):
