@@ -17,7 +17,6 @@ from .linalg import (
     linear_combination,
     nullspace_of,
     rank_of,
-    reduced_basis,
     vec_add,
     vec_dot,
     vec_is_zero,
@@ -90,21 +89,13 @@ class LieAlgebra:
         return tuple(ONE if k == i else ZERO for k in range(self.dim))
 
     def _compute_killing(self) -> MatrixQ:
+        # B_ij = tr(ad_i ad_j): ad_i's entries against ad_j's transpose,
+        # both row-major; all n^2 entries, so validate() checks symmetry
         ads = [ad_matrix(self, self.basis_vector(i)) for i in range(self.dim)]
-        flat = []
-        for a in ads:
-            for b in ads:
-                acc = ZERO
-                for r in range(self.dim):
-                    row = a.row(r)
-                    for c in range(self.dim):
-                        x = row[c]
-                        if x:
-                            y = b[c, r]
-                            if y:
-                                acc = acc + x * y
-                flat.append(acc)
-        return MatrixQ(self.dim, self.dim, flat)
+        transposed = [tuple(e for r in range(self.dim) for e in b.column(r))
+                      for b in ads]
+        return MatrixQ(self.dim, self.dim,
+                       [vec_dot(a.entries, bt) for a in ads for bt in transposed])
 
     def __repr__(self) -> str:
         return f"LieAlgebra({self.name}, dim={self.dim})"
@@ -157,12 +148,12 @@ def ad_matrix(alg: LieAlgebra, u: Sequence[Scalar]) -> MatrixQ:
 def centralizer(alg: LieAlgebra, basis: Sequence, vectors: Sequence) -> list:
     """Basis of {u in span(basis) : [u, v] = 0 for every v in vectors}.
 
-    basis must be linearly independent.  The condition is stacked for the
-    reduced echelon basis of span(vectors), and the result is the RREF
-    nullspace of that stack, so it depends only on the two spans and on
-    the order of basis.
+    basis must be linearly independent.  The condition is stacked for each
+    of vectors, and the result is the RREF nullspace of that stack, so it
+    depends only on the two spans and on the order of basis.  Callers with
+    a long or redundant spanning set pass its reduced_basis, which gives
+    fewer and smaller rows.
     """
-    vectors = reduced_basis(vectors, alg.dim)
     if not vectors:
         return [tuple(u) for u in basis]
     ad_u = [ad_matrix(alg, u) for u in basis]

@@ -41,7 +41,7 @@ from .linalg import (
     nilpotency_exponent,
     rank_profile,
     reduced_basis,
-    span_contains,
+    vec_dot,
 )
 from .scalar import ZERO, Scalar
 from .words import LyndonWord, WordEvaluator, lyndon_basis, witt_dimension
@@ -123,7 +123,7 @@ def generated_subalgebra(alg: LieAlgebra, cd: CartanDecomposition,
 def centralizer_in_k(alg: LieAlgebra, cd: CartanDecomposition,
                      report: SubalgebraReport) -> list:
     """Basis of {u in k : [u, w] = 0 for all w in g(z)}."""
-    return centralizer(alg, cd.k_basis, report.basis)
+    return centralizer(alg, cd.k_basis, reduced_basis(report.basis, alg.dim))
 
 
 @dataclass
@@ -183,18 +183,13 @@ def _gram_of_vectors(alg: LieAlgebra, vectors: list) -> MatrixQ:
     flat = [[ZERO] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
-            acc = ZERO
-            for a, b in zip(vectors[i], paired[j]):
-                if a and b:
-                    acc = acc + a * b
-            flat[i][j] = acc
-            flat[j][i] = acc
+            flat[i][j] = flat[j][i] = vec_dot(vectors[i], paired[j])
     return MatrixQ.from_rows(flat)
 
 
 def gram_matrix(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
                 degree_cap: Optional[int] = None, mode: str = "full",
-                jobs: int = 1, override_limit: bool = False) -> GramCertificate:
+                jobs: int = 1) -> GramCertificate:
     """Exact symmetric Gram matrix of Killing pairings; verdict unset.
 
     Runs the filtration once, in either mode, and attaches g(z) as
@@ -210,7 +205,7 @@ def gram_matrix(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
     if mode == "full":
         side = full_gram_side(cap)
         limit = gram_size_limit()
-        if side > limit and not override_limit:
+        if side > limit:
             raise GramSizeError(
                 f"full Gram side d({cap}) = {side} exceeds limit {limit}; "
                 f"set {GRAM_LIMIT_ENV} or use reduced mode")
@@ -228,21 +223,20 @@ def gram_matrix(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
                            pivot_cols=cols, subalgebra=report)
 
 
-def _feasible_mode(alg: LieAlgebra, override_limit: bool) -> str:
-    if override_limit or full_gram_side(alg.dim) <= gram_size_limit():
+def _feasible_mode(alg: LieAlgebra) -> str:
+    if full_gram_side(alg.dim) <= gram_size_limit():
         return "full"
     return "reduced"
 
 
-def _certify(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
-             override_limit: bool) -> GramCertificate:
+def _certify(alg: LieAlgebra, cd: CartanDecomposition,
+             z: Sequence[Scalar]) -> GramCertificate:
     """Gram in the feasible mode with verdict k-regular or neither.
 
     The rank verdict is cross-checked against dim g(z) from the same
     certificate; disagreement is a bug and raises SoundnessError.
     """
-    mode = _feasible_mode(alg, override_limit)
-    cert = gram_matrix(alg, cd, z, mode=mode, override_limit=override_limit)
+    cert = gram_matrix(alg, cd, z, mode=_feasible_mode(alg))
     dim_gz = cert.subalgebra.dim
     gram_says = cert.rank == alg.dim
     if gram_says != (dim_gz == alg.dim):
@@ -254,7 +248,7 @@ def _certify(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
 
 
 def is_k_regular(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
-                 jobs: int = 1, override_limit: bool = False) -> GramCertificate:
+                 jobs: int = 1) -> GramCertificate:
     """Regularity certificate: Gram rank equals dim g iff g(z) = g.
 
     A k-regular verdict carries as its witness the first dim g independent
@@ -263,7 +257,7 @@ def is_k_regular(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
     no effect.
     """
     _check_jobs(jobs)
-    cert = _certify(alg, cd, z, override_limit)
+    cert = _certify(alg, cd, z)
     if cert.verdict == VERDICT_REGULAR:
         cert.witnesses = {"minor_rows": cert.pivot_rows,
                           "minor_cols": cert.pivot_cols}
@@ -271,7 +265,7 @@ def is_k_regular(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
 
 
 def nilcone_test(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
-                 jobs: int = 1, override_limit: bool = False) -> GramCertificate:
+                 jobs: int = 1) -> GramCertificate:
     """Membership in the K-unstable cone.
 
     z is in the cone iff the Gram matrix vanishes identically and both
@@ -280,7 +274,7 @@ def nilcone_test(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
     no witness.  jobs has no effect.
     """
     _check_jobs(jobs)
-    cert = _certify(alg, cd, z, override_limit)
+    cert = _certify(alg, cd, z)
     if cert.gram.is_zero():
         ez = decompose(cd, z)
         ex = nilpotency_exponent(ad_matrix(alg, ez.x))
@@ -350,8 +344,9 @@ def lie_derivative_residual(alg: LieAlgebra, cd: CartanDecomposition,
                             z: Sequence[Scalar], u: Sequence[Scalar]) -> Scalar:
     """First-order change of the pairing along the k-direction u; exactly 0
     for a correct build."""
-    k_mat = MatrixQ.from_columns(list(cd.k_basis))
-    if not span_contains(k_mat, u):
+    k_span = EchelonSpan(alg.dim)
+    k_span.extend(cd.k_basis)
+    if not k_span.contains(u):
         raise ValueError("direction u must lie in the span of k")
     ez = decompose(cd, z)
     dx = bracket(alg, u, ez.x)

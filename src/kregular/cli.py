@@ -65,6 +65,13 @@ def _load_element(path, dim):
         _fail_input(str(exc))
 
 
+def _load_datum(path, alg, cd):
+    try:
+        return kio.load_datum(kio.read_json(path), alg, cd)
+    except (SchemaError, ValidationFailure, OSError) as exc:
+        _fail_input(str(exc))
+
+
 def _emit(doc):
     click.echo(json.dumps(doc, indent=2))
 
@@ -247,13 +254,13 @@ def regular_test(algebra, file, element_path, jobs):
               help="write the element JSON here as well")
 def regular_construct(algebra, file, datum_path, out):
     alg, cd = _resolve_algebra(algebra, file)
-    try:
-        if datum_path is not None:
-            datum = kio.load_datum(kio.read_json(datum_path), alg, cd)
-        else:
+    if datum_path is not None:
+        datum = _load_datum(datum_path, alg, cd)
+    else:
+        try:
             datum = catalog_datum(alg, cd)
-    except (SchemaError, ValidationFailure, CatalogError, OSError) as exc:
-        _fail_input(str(exc))
+        except CatalogError as exc:
+            _fail_input(str(exc))
     ez = construct_regular(alg, cd, datum)
     doc = {
         "element": kio.dump_element(ez.z),
@@ -332,10 +339,7 @@ def verify(algebra, file, suite, seed, samples, box, csv_out, datum_path, jobs):
     alg, cd = _resolve_algebra(algebra, file)
     datum = None
     if datum_path is not None:
-        try:
-            datum = kio.load_datum(kio.read_json(datum_path), alg, cd)
-        except (SchemaError, ValidationFailure, OSError) as exc:
-            _fail_input(str(exc))
+        datum = _load_datum(datum_path, alg, cd)
     report = verify_suite(alg, cd, suite, seed=seed, samples=samples,
                           jobs=jobs, box=box, datum=datum)
     if csv_out:

@@ -119,6 +119,16 @@ def dump_datum(datum: RestrictedRootDatum) -> dict:
     }
 
 
+def _list_field(obj, name: str) -> list:
+    if not isinstance(obj, list):
+        raise SchemaError(f"{name} must be a list, got {type(obj).__name__}")
+    return obj
+
+
+def _vectors_from_json(obj, dim: int, name: str) -> tuple:
+    return tuple(_vector_from_json(v, dim) for v in _list_field(obj, name))
+
+
 def load_datum(doc: dict, alg: LieAlgebra,
                cd: CartanDecomposition) -> RestrictedRootDatum:
     """Parse and validate a restricted-root datum document."""
@@ -128,18 +138,20 @@ def load_datum(doc: dict, alg: LieAlgebra,
         if key not in doc:
             raise SchemaError(f"datum document missing {key!r}")
     dim = alg.dim
-    a_basis = tuple(_vector_from_json(v, dim) for v in doc["a_basis"])
-    hm_basis = tuple(_vector_from_json(v, dim) for v in doc.get("hm_basis", []))
+    a_basis = _vectors_from_json(doc["a_basis"], dim, "a_basis")
+    hm_basis = _vectors_from_json(doc.get("hm_basis", []), dim, "hm_basis")
     roots = []
-    for r in doc["roots"]:
+    for r in _list_field(doc["roots"], "roots"):
         if not isinstance(r, dict) or "values_on_a_basis" not in r or "space" not in r:
             raise SchemaError("each root needs 'values_on_a_basis' and 'space'")
         values = _vector_from_json(r["values_on_a_basis"], len(a_basis))
-        space = tuple(_vector_from_json(v, dim) for v in r["space"])
+        space = _vectors_from_json(r["space"], dim, "root space")
         if not space:
             raise SchemaError("root space must be nonempty")
         roots.append(RestrictedRoot(values, space))
-    positive = tuple(doc["positive"])
+    positive = tuple(_list_field(doc["positive"], "positive"))
+    if not all(type(i) is int for i in positive):
+        raise SchemaError("positive must be a list of integer root indices")
     datum = RestrictedRootDatum(
         a_basis=a_basis, hm_basis=hm_basis, roots=tuple(roots), positive=positive)
     report = validate_datum(alg, cd, datum)

@@ -1,6 +1,9 @@
-"""Dense exact matrices over Q(i) and the one elimination kernel, EchelonSpan.
+"""Dense exact matrices over Q(i), the one dot product, vec_dot, and the
+one elimination kernel, EchelonSpan.
 
-Every rank, witness minor, reduced basis, nullspace and solve is an
+Every inner product in the package (matvec, matmul, Killing matrix and
+pairings, Gram entries, root values) is a vec_dot.  Every rank, witness
+minor, reduced basis, nullspace, solve and span-membership test is an
 EchelonSpan pass over the rows in their given order, followed where needed
 by its rref().  The witness of a rank is the first independent rows and,
 within them, the first independent columns.  All of it is exact, so
@@ -89,10 +92,6 @@ class MatrixQ:
         return cls.from_rows([[cols[j][i] for j in range(nc)] for i in range(nr)])
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "MatrixQ":
-        return cls(rows, cols, (ZERO,) * (rows * cols))
-
-    @classmethod
     def identity(cls, n: int) -> "MatrixQ":
         return cls(n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n)))
 
@@ -106,39 +105,18 @@ class MatrixQ:
     def column(self, j: int) -> Vector:
         return self.entries[j :: self.cols]
 
-    def row_list(self) -> list:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "MatrixQ":
-        return MatrixQ.from_rows([list(self.column(j)) for j in range(self.cols)])
-
     def matvec(self, v: Sequence[Scalar]) -> Vector:
         if len(v) != self.cols:
             raise ValueError("dimension mismatch")
-        out = []
-        for i in range(self.rows):
-            acc = ZERO
-            row = self.row(i)
-            for a, b in zip(row, v):
-                if a and b:
-                    acc = acc + a * b
-            out.append(acc)
-        return tuple(out)
+        return tuple(vec_dot(self.row(i), v) for i in range(self.rows))
 
     def matmul(self, other: "MatrixQ") -> "MatrixQ":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
+        rows = [self.row(i) for i in range(self.rows)]
         cols = [other.column(j) for j in range(other.cols)]
-        flat = []
-        for i in range(self.rows):
-            row = self.row(i)
-            for col in cols:
-                acc = ZERO
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = acc + a * b
-                flat.append(acc)
-        return MatrixQ(self.rows, other.cols, flat)
+        return MatrixQ(self.rows, other.cols,
+                       [vec_dot(row, col) for row in rows for col in cols])
 
     def add(self, other: "MatrixQ") -> "MatrixQ":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -240,11 +218,6 @@ def solve_in_span(basis: MatrixQ, v: Sequence[Scalar]):
     for row, pc in zip(rows, pivots):
         coeffs[pc] = row[n]
     return tuple(coeffs)
-
-
-def span_contains(basis: MatrixQ, v: Sequence[Scalar]) -> bool:
-    """True iff v lies in the column span of basis; exact."""
-    return solve_in_span(basis, v) is not None
 
 
 def is_nilpotent_matrix(m: MatrixQ, dim: int) -> bool:

@@ -25,16 +25,15 @@ from .catalog import matrix_index
 from .errors import CatalogError, SoundnessError, ValidationFailure
 from .linalg import (
     EchelonSpan,
-    MatrixQ,
     Vector,
     linear_combination,
-    span_contains,
     vec_add,
+    vec_dot,
     vec_is_zero,
     vec_scale,
     zero_vector,
 )
-from .scalar import ZERO, Scalar
+from .scalar import Scalar
 
 
 @dataclass(frozen=True)
@@ -49,11 +48,7 @@ class RestrictedRoot:
         return len(self.space)
 
     def value_at(self, coeffs: Sequence[Scalar]) -> Scalar:
-        acc = ZERO
-        for c, v in zip(coeffs, self.values):
-            if c and v:
-                acc = acc + c * v
-        return acc
+        return vec_dot(coeffs, self.values)
 
 
 @dataclass(frozen=True)
@@ -116,11 +111,9 @@ def validate_datum(alg: LieAlgebra, cd: CartanDecomposition,
     rep = ValidationReport()
     n = alg.dim
 
-    a_mat = MatrixQ.from_columns(list(datum.a_basis)) if datum.a_basis else None
-    p_mat = MatrixQ.from_columns(list(cd.p_basis))
-    k_mat = MatrixQ.from_columns(list(cd.k_basis)) if cd.k_basis else None
-
-    ok = all(span_contains(p_mat, h) for h in datum.a_basis)
+    p_span = EchelonSpan(n)
+    p_span.extend(cd.p_basis)
+    ok = all(p_span.contains(h) for h in datum.a_basis)
     rep.record("a-inside-p", ok)
 
     bad = None
@@ -172,24 +165,25 @@ def validate_datum(alg: LieAlgebra, cd: CartanDecomposition,
                f"sum {total} != dim g {n}" if total != n else "")
 
     bad = None
-    if k_mat is None and datum.hm_basis:
-        bad = "hm nonempty but k = 0"
-    else:
-        for i, h in enumerate(datum.hm_basis):
-            if not span_contains(k_mat, h):
-                bad = f"hm[{i}] not in k"
-                break
-            if any(not vec_is_zero(bracket(alg, h, a)) for a in datum.a_basis):
-                bad = f"hm[{i}] does not commute with a"
-                break
+    k_span = EchelonSpan(n)
+    k_span.extend(cd.k_basis)
+    for i, h in enumerate(datum.hm_basis):
+        if not k_span.contains(h):
+            bad = f"hm[{i}] not in k"
+            break
+        if any(not vec_is_zero(bracket(alg, h, a)) for a in datum.a_basis):
+            bad = f"hm[{i}] does not commute with a"
+            break
     rep.record("hm-in-m", bad is None, bad or "")
 
     pos_set = set(datum.positive)
-    ok = all(0 <= i < len(datum.roots) for i in pos_set) and \
-        2 * len(pos_set) == len(datum.roots)
+    in_range = {i for i in pos_set if 0 <= i < len(datum.roots)}
+    ok = in_range == pos_set and 2 * len(pos_set) == len(datum.roots)
     rep.record("positive-set", ok)
 
-    ok = not (datum.mult_high and not datum.hm_basis)
+    # mult_high would index roots out of range, so read the in-range ones
+    ok = bool(datum.hm_basis) or all(datum.roots[i].multiplicity == 1
+                                     for i in in_range)
     rep.record("mult-high-needs-hm", ok,
                "" if ok else "a root space of dimension >= 2 requires h_m != 0")
 
@@ -319,7 +313,7 @@ def build_regular(alg: LieAlgebra, cd: CartanDecomposition,
     vectors plus x0 from choose_x0."""
     y = choose_y(datum)
     x0 = choose_x0(alg, datum)
-    x = list(x0)
+    x = x0
     for i in datum.positive:
         root = datum.roots[i]
         if root.multiplicity == 1:
@@ -328,10 +322,7 @@ def build_regular(alg: LieAlgebra, cd: CartanDecomposition,
             x_nu = _cyclic_generator(alg, x0, root)
             if x_nu is None:
                 raise SoundnessError("x0 was chosen to make this cyclic")
-        contrib = vec_add(x_nu, cd.theta.matvec(x_nu))
-        for k in range(alg.dim):
-            x[k] = x[k] + contrib[k]
-    x = tuple(x)
+        x = vec_add(x, vec_add(x_nu, cd.theta.matvec(x_nu)))
     return ElementZ(z=vec_add(x, y), x=x, y=tuple(y))
 
 

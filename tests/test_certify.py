@@ -83,9 +83,10 @@ def test_gram_size_limit(sl2, monkeypatch):
     monkeypatch.setenv(GRAM_LIMIT_ENV, "3")
     with pytest.raises(GramSizeError):
         gram_matrix(alg, cd, Z_REG, mode="full")
-    # override flag and reduced mode both sidestep the limit
-    assert gram_matrix(alg, cd, Z_REG, mode="full", override_limit=True).rank == 3
+    # reduced mode sidesteps the limit, and raising it admits full mode
     assert gram_matrix(alg, cd, Z_REG, mode="reduced").rank == 3
+    monkeypatch.setenv(GRAM_LIMIT_ENV, str(full_gram_side(3)))
+    assert gram_matrix(alg, cd, Z_REG, mode="full").rank == 3
 
 
 @pytest.mark.parametrize("raw", ["abc", "-3", "1.5", ""])

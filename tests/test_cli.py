@@ -10,8 +10,10 @@ from click.testing import CliRunner
 
 import kregular
 from kregular import io as kio
+from kregular.catalog import catalog_build
 from kregular.certify import GRAM_LIMIT_ENV
 from kregular.cli import main
+from kregular.roots import catalog_datum
 
 from conftest import count_filtrations, vec
 
@@ -189,6 +191,24 @@ def test_regular_construct(runner, tmp_path):
     assert doc["certificate"]["verdict"] == "k-regular"
     assert doc["element_pretty"] == ["1", "1", "-1"]
     assert kio.read_json(str(out)) == doc["element"]
+
+
+@pytest.mark.parametrize("command", [["regular", "construct"],
+                                     ["verify", "--suite", "appendix"]])
+@pytest.mark.parametrize("field, value", [
+    ("positive", [5]), ("positive", 0), ("positive", ["0"]),
+    ("a_basis", 3), ("hm_basis", 1), ("roots", 7)])
+def test_malformed_datum_is_input_error(runner, tmp_path, command, field,
+                                        value):
+    doc = kio.dump_datum(catalog_datum(*catalog_build("split-sl", 2)))
+    doc[field] = value
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, [*command, "-a", "sl2", "--datum", str(path)])
+    assert result.exit_code == 2
+    assert field in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
 
 
 def test_regular_construct_certifies_once(runner, monkeypatch):

@@ -5,6 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kregular.algebra import ad_matrix
+from kregular.catalog import catalog_build
+from kregular.certify import _gram_of_vectors
 from kregular.linalg import (
     EchelonSpan,
     MatrixQ,
@@ -16,9 +19,9 @@ from kregular.linalg import (
     rank_profile,
     reduced_basis,
     solve_in_span,
-    span_contains,
     vec_is_zero,
 )
+from kregular.roots import RestrictedRoot
 from kregular.scalar import I, ONE, ZERO, Scalar
 
 
@@ -33,9 +36,21 @@ def random_matrix(rng, rows, cols, density=0.7):
     ])
 
 
+def zeros(rows, cols):
+    return MatrixQ(rows, cols, (ZERO,) * (rows * cols))
+
+
+def transpose(m):
+    return MatrixQ.from_columns([m.row(i) for i in range(m.rows)])
+
+
+def row_list(m):
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
 def test_rank_basics():
     assert rank_of(MatrixQ.identity(4)) == 4
-    assert rank_of(MatrixQ.zeros(3, 5)) == 0
+    assert rank_of(zeros(3, 5)) == 0
     m = MatrixQ.from_rows([[Scalar(1), Scalar(2)], [Scalar(2), Scalar(4)]])
     assert rank_of(m) == 1
 
@@ -66,7 +81,7 @@ def test_rank_invariant_under_row_operations():
     rng = random.Random(9)
     for _ in range(15):
         m = random_matrix(rng, 4, 4)
-        rows = m.row_list()
+        rows = row_list(m)
         rows[0], rows[2] = rows[2], rows[0]
         rows[1] = [Scalar(3) * a + b for a, b in zip(rows[0], rows[1])]
         assert rank_of(MatrixQ.from_rows(rows)) == rank_of(m)
@@ -90,7 +105,7 @@ def test_solve_in_span():
     c = solve_in_span(basis, (Scalar(2), Scalar(3), Scalar(5)))
     assert c == (Scalar(2), Scalar(3))
     assert solve_in_span(basis, (ONE, ZERO, ZERO)) is None
-    assert span_contains(basis, (ZERO, ZERO, ZERO))
+    assert solve_in_span(basis, (ZERO, ZERO, ZERO)) == (ZERO, ZERO)
 
 
 def test_linear_combination_matches_matvec():
@@ -101,7 +116,7 @@ def test_linear_combination_matches_matvec():
     assert linear_combination(coeffs, [m.column(j) for j in range(3)], 4) \
         == m.matvec(coeffs[:3])
     assert linear_combination(coeffs, [m.row(i) for i in range(4)], 3) \
-        == m.transpose().matvec(coeffs)
+        == transpose(m).matvec(coeffs)
     assert linear_combination([], [], 2) == (ZERO, ZERO)
     assert linear_combination([ZERO], [(ONE, I)], 2) == (ZERO, ZERO)
 
@@ -136,7 +151,7 @@ def test_nilpotency():
         [ZERO, ONE, ZERO], [ZERO, ZERO, ONE], [ZERO, ZERO, ZERO]])
     assert is_nilpotent_matrix(shift, 3)
     assert nilpotency_exponent(shift) == 3
-    assert nilpotency_exponent(MatrixQ.zeros(2, 2)) == 1
+    assert nilpotency_exponent(zeros(2, 2)) == 1
     assert nilpotency_exponent(MatrixQ.identity(2)) is None
 
 
@@ -235,7 +250,7 @@ def test_matrix_shape_errors():
     with pytest.raises(ValueError):
         MatrixQ.identity(2).matvec((ONE,))
     with pytest.raises(ValueError):
-        MatrixQ.zeros(2, 3).trace()
+        zeros(2, 3).trace()
 
 
 # Differential tests: EchelonSpan answers every rank, minor, nullspace and
@@ -327,7 +342,7 @@ def _old_reduced_basis(vectors, dim):
 
 
 def _old_nullspace_of(m):
-    rows = m.row_list()
+    rows = row_list(m)
     _, pivots = _old_rref(rows, m.cols)
     basis = []
     for f in (c for c in range(m.cols) if c not in pivots):
@@ -358,10 +373,11 @@ entries = st.one_of(st.just(ZERO), gaussian_rationals)
 
 
 @st.composite
-def qi_matrices(draw, max_side=6):
+def qi_matrices(draw, max_side=6, rows=None):
     """Rectangular Q(i) matrices with denominators, where each row is
-    drawn, zero, or a combination of two earlier rows."""
-    nr = draw(st.integers(1, max_side))
+    drawn, zero, or a combination of two earlier rows; rows fixes the
+    row count."""
+    nr = rows or draw(st.integers(1, max_side))
     nc = draw(st.integers(1, max_side))
     rows = []
     for i in range(nr):
@@ -401,7 +417,7 @@ def test_rank_profile_matches_bareiss(m):
 @settings(max_examples=60, deadline=None)
 @given(qi_matrices(max_side=5))
 def test_symmetric_witness_is_principal(a):
-    gram = a.matmul(a.transpose())
+    gram = a.matmul(transpose(a))
     rank, rows, cols = rank_profile(gram)
     assert rank == _old_rank_profile(gram)[0]
     assert rows == cols
@@ -442,3 +458,129 @@ def test_rref_leaves_the_span_unchanged():
     assert [list(row) for _, row in span._reduced] == before
     assert span.add((ZERO, ZERO, ONE)) and span.rref()[1] == [
         [ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]
+
+
+# Differential tests: vec_dot is the only inner product and EchelonSpan the
+# only span test; the in-file copies below are the loops and the augmented
+# RREF span test they replaced, and serve as the reference.
+
+def _old_matvec(m, v):
+    out = []
+    for i in range(m.rows):
+        acc = ZERO
+        for a, b in zip(m.row(i), v):
+            if a and b:
+                acc = acc + a * b
+        out.append(acc)
+    return tuple(out)
+
+
+def _old_matmul(m, other):
+    cols = [other.column(j) for j in range(other.cols)]
+    flat = []
+    for i in range(m.rows):
+        row = m.row(i)
+        for col in cols:
+            acc = ZERO
+            for a, b in zip(row, col):
+                if a and b:
+                    acc = acc + a * b
+            flat.append(acc)
+    return MatrixQ(m.rows, other.cols, flat)
+
+
+def _old_gram_of_vectors(alg, vectors):
+    m = len(vectors)
+    paired = [_old_matvec(alg.killing, v) for v in vectors]
+    flat = [[ZERO] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            acc = ZERO
+            for a, b in zip(vectors[i], paired[j]):
+                if a and b:
+                    acc = acc + a * b
+            flat[i][j] = acc
+            flat[j][i] = acc
+    return MatrixQ.from_rows(flat)
+
+
+def _old_compute_killing(alg):
+    ads = [ad_matrix(alg, alg.basis_vector(i)) for i in range(alg.dim)]
+    flat = []
+    for a in ads:
+        for b in ads:
+            acc = ZERO
+            for r in range(alg.dim):
+                row = a.row(r)
+                for c in range(alg.dim):
+                    x = row[c]
+                    if x:
+                        y = b[c, r]
+                        if y:
+                            acc = acc + x * y
+            flat.append(acc)
+    return MatrixQ(alg.dim, alg.dim, flat)
+
+
+def _old_value_at(values, coeffs):
+    acc = ZERO
+    for c, v in zip(coeffs, values):
+        if c and v:
+            acc = acc + c * v
+    return acc
+
+
+def _old_span_contains(basis, v):
+    return _old_solve_in_span(basis, v) is not None
+
+
+def _vectors(dim, size):
+    return st.lists(st.lists(entries, min_size=dim, max_size=dim).map(tuple),
+                    min_size=size, max_size=size)
+
+
+@settings(max_examples=100, deadline=None)
+@given(qi_matrices(), st.data())
+def test_matvec_and_matmul_match_old_loops(m, data):
+    v = data.draw(st.lists(entries, min_size=m.cols, max_size=m.cols))
+    assert m.matvec(v) == _old_matvec(m, v)
+    other = data.draw(qi_matrices(rows=m.cols))
+    assert m.matmul(other) == _old_matmul(m, other)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_gram_of_vectors_matches_old_loop(sl2, sl3, data):
+    alg, _ = data.draw(st.sampled_from((sl2, sl3)))
+    vectors = data.draw(_vectors(alg.dim, data.draw(st.integers(0, 5))))
+    assert _gram_of_vectors(alg, vectors) == _old_gram_of_vectors(alg, vectors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda d: st.tuples(
+    st.lists(entries, min_size=d, max_size=d),
+    st.lists(entries, min_size=d, max_size=d))))
+def test_root_value_matches_old_loop(pair):
+    values, coeffs = pair
+    root = RestrictedRoot(tuple(values), ())
+    assert root.value_at(coeffs) == _old_value_at(values, coeffs)
+
+
+def test_killing_matches_old_loop(su21):
+    algebras = [catalog_build("split-sl", n)[0] for n in (2, 3, 4, 5)]
+    for alg in algebras + [su21[0]]:
+        assert alg.killing == _old_compute_killing(alg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(qi_matrices(), st.data())
+def test_span_contains_matches_old_rref_path(m, data):
+    span = EchelonSpan(m.rows)
+    span.extend(m.column(j) for j in range(m.cols))
+    inside = linear_combination(
+        data.draw(st.lists(entries, min_size=m.cols, max_size=m.cols)),
+        [m.column(j) for j in range(m.cols)], m.rows)
+    drawn = tuple(data.draw(st.lists(entries, min_size=m.rows,
+                                     max_size=m.rows)))
+    assert span.contains(inside) and _old_span_contains(m, inside)
+    assert span.contains(drawn) == _old_span_contains(m, drawn)

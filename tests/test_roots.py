@@ -270,6 +270,21 @@ def test_validate_datum_catches_bad_positive_set(sl2):
     assert not names["positive-set"]
 
 
+@pytest.mark.parametrize("positive, mult_high_ok",
+                         [((5,), True), ((-1,), True), ((0, 9), False)])
+def test_validate_datum_out_of_range_positive_is_a_failure(
+        su21, su21_datum, positive, mult_high_ok):
+    # a failed check, never an IndexError; the mult-high check reads only
+    # the in-range positive roots (root 0 has multiplicity 2)
+    alg, cd = su21
+    broken = RestrictedRootDatum(
+        a_basis=su21_datum.a_basis, hm_basis=(),
+        roots=su21_datum.roots, positive=positive)
+    names = {c.name: c.passed for c in validate_datum(alg, cd, broken).checks}
+    assert not names["positive-set"]
+    assert names["mult-high-needs-hm"] == mult_high_ok
+
+
 def test_validate_datum_catches_missing_root(sl3):
     alg, cd = sl3
     datum = catalog_datum(alg, cd)
