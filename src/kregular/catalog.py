@@ -13,7 +13,7 @@ import functools
 from .algebra import CartanDecomposition, LieAlgebra, validate
 from .errors import CatalogError, SoundnessError
 from .linalg import MatrixQ
-from .scalar import ONE, ZERO, Scalar
+from .scalar import ONE, ZERO
 
 FAMILIES = ("split-sl",)
 MIN_SIZE = 2

@@ -18,6 +18,7 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -66,12 +67,22 @@ def gram_size_limit() -> int:
 
 @dataclass
 class SubalgebraReport:
-    """g(z) computed by the filtration g_{m+1} = g_m + [x, g_m] + [y, g_m]."""
+    """g(z) computed by the filtration g_{m+1} = g_m + [x, g_m] + [y, g_m].
+
+    span, the filtration's own EchelonSpan, stays out of to_dict(), repr
+    and equality; reduced_basis, its RREF rows computed on first use, is
+    what span-only checks read instead of eliminating basis again.
+    """
 
     basis: list
     dim: int
     stabilization_degree: int
     per_degree_dims: list
+    span: EchelonSpan = field(repr=False, compare=False)
+
+    @cached_property
+    def reduced_basis(self) -> list:
+        return [tuple(r) for r in self.span.rref()[1]]
 
     def to_dict(self) -> dict:
         return {
@@ -117,13 +128,14 @@ def generated_subalgebra(alg: LieAlgebra, cd: CartanDecomposition,
         dim=span.dim,
         stabilization_degree=m,
         per_degree_dims=per_degree,
+        span=span,
     )
 
 
 def centralizer_in_k(alg: LieAlgebra, cd: CartanDecomposition,
                      report: SubalgebraReport) -> list:
     """Basis of {u in k : [u, w] = 0 for all w in g(z)}."""
-    return centralizer(alg, cd.k_basis, reduced_basis(report.basis, alg.dim))
+    return centralizer(alg, cd.k_basis, report.reduced_basis)
 
 
 @dataclass
@@ -291,16 +303,18 @@ def derived_series(alg: LieAlgebra, basis: Sequence) -> list:
     Only the spans matter, so each D^k is bracketed on the reduced echelon
     basis of its span (see reduced_basis), whose entries stay small, not on
     the vectors as given.  Raises ValueError if span(basis) is not closed
-    under the bracket.
+    under the bracket; all of g is closed by definition, so a full span
+    skips that check, and each D^{k+1} stops bracketing once it is all of g.
     """
     n = alg.dim
-    current = reduced_basis(basis, n)
     span = EchelonSpan(n)
-    span.extend(current)
-    for u in current:
-        for v in current:
-            if not span.contains(bracket(alg, u, v)):
-                raise ValueError("basis is not closed under the bracket")
+    span.extend(basis)
+    current = [tuple(r) for r in span.rref()[1]]
+    if not span.full:
+        for u in current:
+            for v in current:
+                if not span.contains(bracket(alg, u, v)):
+                    raise ValueError("basis is not closed under the bracket")
     dims = [len(current)]
     while True:
         nxt = reduced_basis(

@@ -340,6 +340,8 @@ def verify(algebra, file, suite, seed, samples, box, csv_out, datum_path, jobs):
     datum = None
     if datum_path is not None:
         datum = _load_datum(datum_path, alg, cd)
+    elif suite in ("appendix", "all") and alg.family != "split-sl":
+        _fail_input(f"--suite {suite} needs --datum for a non-catalog algebra")
     report = verify_suite(alg, cd, suite, seed=seed, samples=samples,
                           jobs=jobs, box=box, datum=datum)
     if csv_out:

@@ -255,7 +255,9 @@ class EchelonSpan:
 
     Keeps the original inserted vectors (as a basis) alongside echelon
     rows, sorted by pivot column, for fast reduction; rref() derives the
-    reduced form from those rows on demand.
+    reduced form from those rows on demand.  A full span (dim = ambient_dim)
+    answers at once: contains is True, rref() the identity, and extend
+    pulls no more vectors, so a lazy generator of brackets stops.
     """
 
     def __init__(self, ambient_dim: int):
@@ -267,6 +269,10 @@ class EchelonSpan:
     def dim(self) -> int:
         return len(self.basis)
 
+    @property
+    def full(self) -> bool:
+        return len(self.basis) == self.ambient_dim
+
     def _reduce(self, v: Sequence[Scalar]) -> list:
         w = list(v)
         for pc, row in self._reduced:
@@ -277,7 +283,9 @@ class EchelonSpan:
         return w
 
     def contains(self, v: Sequence[Scalar]) -> bool:
-        return all(not a for a in self._reduce(v))
+        if len(v) != self.ambient_dim:
+            raise ValueError(f"expected length {self.ambient_dim}, got {len(v)}")
+        return self.full or all(not a for a in self._reduce(v))
 
     def add(self, v: Sequence[Scalar]) -> bool:
         """Insert v; returns True if it enlarged the span."""
@@ -296,6 +304,8 @@ class EchelonSpan:
         """(pivot_cols, rows) of the reduced row echelon form, which depends
         only on the span; back-substitutes copies, leaving the span as is."""
         pivots = [pc for pc, _ in self._reduced]
+        if self.full:
+            return pivots, [[ONE if i == j else ZERO for j in pivots] for i in pivots]
         rows = [list(row) for _, row in self._reduced]
         for k in range(len(rows) - 1, 0, -1):
             pk, row_k = pivots[k], rows[k]
@@ -307,8 +317,10 @@ class EchelonSpan:
         return pivots, rows
 
     def extend(self, vectors: Iterable) -> None:
-        for v in vectors:
-            self.add(v)
+        if not self.full:
+            for v in vectors:
+                if self.add(v) and self.full:
+                    return
 
     def equals(self, other: "EchelonSpan") -> bool:
         return (

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .algebra import LieAlgebra, bracket
 from .errors import SoundnessError
-from .linalg import Vector, vec_add, zero_vector
+from .linalg import Vector, vec_add
 from .scalar import Scalar
 
 ALPHABET = ("X", "Y")

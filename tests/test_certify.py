@@ -1,7 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
+from kregular import certify
 from kregular.algebra import ad_matrix, bracket, decompose, killing_pair
 from kregular.certify import (
     GRAM_LIMIT_ENV,
@@ -26,7 +28,13 @@ from kregular.errors import (
     GramSizeError,
     SoundnessError,
 )
-from kregular.linalg import EchelonSpan, MatrixQ, nullspace_of, rank_of
+from kregular.linalg import (
+    EchelonSpan,
+    MatrixQ,
+    nullspace_of,
+    rank_of,
+    reduced_basis,
+)
 from kregular.scalar import I, ONE, ZERO, Scalar
 from kregular.words import LyndonWord
 
@@ -306,6 +314,44 @@ def test_derived_series_and_centralizer_match_reference(sl2, sl3, sl4, su21):
             solvable += dims[-1] == 0 and rep.dim > 0
     # the sparse elements reach proper subalgebras of both kinds
     assert proper_centralizer and solvable
+
+
+def test_report_reduced_basis_is_the_rref_of_its_basis(sl2, sl3, sl4, su21):
+    full = 0
+    for (alg, cd), dense, sparse in ((sl2, 3, 6), (sl3, 2, 8), (su21, 2, 8),
+                                     (sl4, 1, 8)):
+        for z in _differential_elements(alg, alg.dim, dense, sparse):
+            rep = generated_subalgebra(alg, cd, z)
+            assert rep.reduced_basis == reduced_basis(rep.basis, alg.dim), z
+            assert rep.span.dim == rep.dim
+            full += rep.dim == alg.dim
+    # both the full-span shortcut and the back-substitution are exercised
+    assert 0 < full
+
+
+def test_report_span_stays_out_of_repr_and_equality(sl2):
+    alg, cd = sl2
+    rep = generated_subalgebra(alg, cd, Z_REG)
+    assert "span" not in repr(rep) and "span" not in rep.to_dict()
+    assert rep == dataclasses.replace(rep, span=EchelonSpan(alg.dim))
+
+
+def test_derived_series_of_all_of_g_skips_the_closure_check(sl4, monkeypatch):
+    alg, _ = sl4
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return bracket(*args)
+
+    monkeypatch.setattr(certify, "bracket", counting)
+    # a spanning set that is not the identity basis
+    spanning = [tuple(a + b for a, b in zip(alg.basis_vector(i),
+                                            alg.basis_vector((i + 1) % alg.dim)))
+                for i in range(alg.dim)]
+    assert derived_series(alg, spanning) == [15, 15]
+    # the closure check alone took 15 * 15 brackets before
+    assert len(calls) <= 105
 
 
 def _series_or_error(func, alg, vectors):

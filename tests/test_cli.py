@@ -12,6 +12,7 @@ import kregular
 from kregular import io as kio
 from kregular.catalog import catalog_build
 from kregular.certify import GRAM_LIMIT_ENV
+from kregular import cli
 from kregular.cli import main
 from kregular.roots import catalog_datum
 
@@ -211,6 +212,36 @@ def test_malformed_datum_is_input_error(runner, tmp_path, command, field,
     assert "Traceback" not in result.output
 
 
+@pytest.fixture
+def user_sl2(runner, tmp_path):
+    """sl(2) saved as a user algebra: no catalog family, so no datum."""
+    doc = json.loads(runner.invoke(main, ["algebra", "dump", "-a", "sl2"]).output)
+    doc["name"] = "my-algebra"
+    path = tmp_path / "user.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("suite", ["appendix", "all"])
+def test_verify_user_algebra_without_datum_is_input_error(runner, user_sl2,
+                                                          suite, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "verify_suite", lambda *a, **k: ran.append(a))
+    result = runner.invoke(main, ["verify", "-f", user_sl2, "--suite", suite,
+                                  "--samples", "1"])
+    assert result.exit_code == 2
+    assert "--datum" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert not ran
+
+
+def test_verify_user_algebra_runs_datum_free_suites(runner, user_sl2):
+    result = runner.invoke(main, ["verify", "-f", user_sl2, "--suite",
+                                  "regularity", "--samples", "2"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["algebra"] == "my-algebra"
+
+
 def test_regular_construct_certifies_once(runner, monkeypatch):
     calls = count_filtrations(monkeypatch)
     result = runner.invoke(main, ["regular", "construct", "-a", "sl3"])
@@ -299,6 +330,49 @@ def test_package_has_no_assert_statements():
         tree = ast.parse(path.read_text(), str(path))
         lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
         assert not lines, f"{path.name}: assert at lines {lines}"
+
+
+def _unread_imports(tree):
+    """(name, line) of each name a module imports and never reads; skips
+    `from __future__` and imports under `if TYPE_CHECKING:`."""
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test):
+            skipped.update(id(n) for n in ast.walk(node))
+    imported = {}
+    for node in ast.walk(tree):
+        if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                or id(node) in skipped
+                or getattr(node, "module", None) == "__future__"):
+            continue
+        for alias in node.names:
+            imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted((name, line) for name, line in imported.items()
+                  if name not in read)
+
+
+def test_package_modules_read_every_name_they_import():
+    """__init__.py is exempt: its imports are re-exports."""
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name != "__init__.py":
+            tree = ast.parse(path.read_text(), str(path))
+            assert not _unread_imports(tree), path.name
+
+
+def test_unread_import_scan_flags_only_unread_names():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path, json as j\n"
+        "from typing import TYPE_CHECKING, Optional, Sequence\n"
+        "if TYPE_CHECKING:\n"
+        "    from x import Y\n"
+        "def f(a: Sequence) -> None:\n"
+        "    os.path.join(a)\n"
+        "    if TYPE_CHECKING:\n"
+        "        pass\n")
+    assert _unread_imports(tree) == [("Optional", 3), ("j", 2)]
 
 
 def test_verify_all_passes_under_optimize():

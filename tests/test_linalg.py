@@ -244,6 +244,33 @@ def test_echelon_span():
     assert not span.equals(other)
 
 
+@pytest.mark.parametrize("full", [False, True])
+def test_contains_rejects_a_vector_of_the_wrong_length(full):
+    span = EchelonSpan(2)
+    span.extend([(ONE, ZERO), (ZERO, ONE)] if full else [(ONE, ZERO)])
+    assert span.full == full
+    for bad in ((ONE,), (ONE, ZERO, ZERO), (ZERO, ZERO, ONE)):
+        with pytest.raises(ValueError, match="length 2"):
+            span.contains(bad)
+
+
+def test_extend_stops_pulling_once_the_span_is_full():
+    pulled = []
+
+    def vectors():
+        for v in [(ONE, ONE), (ONE, ONE), (ZERO, I)] + [(ONE, ZERO)] * 5:
+            pulled.append(v)
+            yield v
+
+    span = EchelonSpan(2)
+    span.extend(vectors())
+    assert span.dim == 2 and len(pulled) == 3
+    span.extend(vectors())
+    assert len(pulled) == 3
+    assert span.contains((Scalar(7, 1), Scalar(0, -2)))
+    assert span.rref() == ([0, 1], [[ONE, ZERO], [ZERO, ONE]])
+
+
 def test_matrix_shape_errors():
     with pytest.raises(ValueError):
         MatrixQ(2, 2, (ZERO,) * 3)
@@ -458,6 +485,44 @@ def test_rref_leaves_the_span_unchanged():
     assert [list(row) for _, row in span._reduced] == before
     assert span.add((ZERO, ZERO, ONE)) and span.rref()[1] == [
         [ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]
+
+
+def _back_substituted_rref(span):
+    """The back-substitution rref() runs on spans that are not full."""
+    pivots = [pc for pc, _ in span._reduced]
+    rows = [list(row) for _, row in span._reduced]
+    for k in range(len(rows) - 1, 0, -1):
+        for row in rows[:k]:
+            c = row[pivots[k]]
+            if c:
+                row[:] = [a - c * b for a, b in zip(row, rows[k])]
+    return pivots, rows
+
+
+nonzero_gaussians = gaussian_rationals.filter(bool)
+
+
+@st.composite
+def invertible_qi_matrices(draw, max_side=6):
+    """L @ U with L unit lower triangular and U upper triangular with a
+    nonzero diagonal, so the product is invertible."""
+    n = draw(st.integers(1, max_side))
+    lower = [[ONE if i == j else draw(entries) if j < i else ZERO
+              for j in range(n)] for i in range(n)]
+    upper = [[draw(nonzero_gaussians) if i == j else draw(entries) if j > i
+              else ZERO for j in range(n)] for i in range(n)]
+    return MatrixQ.from_rows(lower).matmul(MatrixQ.from_rows(upper))
+
+
+@settings(max_examples=100, deadline=None)
+@given(invertible_qi_matrices())
+def test_full_span_rref_is_the_back_substituted_rref(m):
+    span = EchelonSpan(m.cols)
+    span.extend(m.row(i) for i in range(m.rows))
+    assert span.full
+    assert span.rref() == _back_substituted_rref(span)
+    assert [tuple(r) for r in span.rref()[1]] == _old_reduced_basis(
+        [m.row(i) for i in range(m.rows)], m.cols)
 
 
 # Differential tests: vec_dot is the only inner product and EchelonSpan the
