@@ -67,6 +67,7 @@ from .errors import (
     ConfigError,
     DegreeBoundError,
     GramSizeError,
+    InputError,
     KregularError,
     SchemaError,
     SoundnessError,
@@ -92,6 +93,6 @@ __all__ = [
     "choose_x0", "choose_y", "construct_regular", "validate_datum", "zeta_value",
     "SUITES", "VerifyReport", "verify_suite",
     "CatalogError", "ConfigError", "DegreeBoundError", "GramSizeError",
-    "KregularError", "SchemaError", "SoundnessError", "ValidationFailure",
-    "__version__",
+    "InputError", "KregularError", "SchemaError", "SoundnessError",
+    "ValidationFailure", "__version__",
 ]

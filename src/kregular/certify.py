@@ -44,7 +44,7 @@ from .linalg import (
     reduced_basis,
     vec_dot,
 )
-from .scalar import ZERO, Scalar
+from .scalar import ZERO, Scalar, parse_int
 from .words import LyndonWord, WordEvaluator, lyndon_basis, witt_dimension
 
 DEFAULT_GRAM_LIMIT = 1500
@@ -59,10 +59,14 @@ def gram_size_limit() -> int:
     raw = os.environ.get(GRAM_LIMIT_ENV)
     if raw is None:
         return DEFAULT_GRAM_LIMIT
-    if not raw.strip().isdecimal():
+    try:
+        limit = parse_int(raw)
+    except ValueError:
+        limit = -1  # refused below, with the same message as a negative value
+    if limit < 0:
         raise ConfigError(
             f"{GRAM_LIMIT_ENV}={raw!r} is not a non-negative integer")
-    return int(raw)
+    return limit
 
 
 @dataclass
@@ -189,6 +193,16 @@ def full_gram_side(degree_cap: int) -> int:
     return sum(witt_dimension(j) for j in range(1, degree_cap + 1))
 
 
+def _full_gram_fits(degree_cap: int, limit: int) -> bool:
+    """d(cap) <= limit, summing Witt dimensions only until they pass limit."""
+    side = 0
+    for j in range(1, degree_cap + 1):
+        side += witt_dimension(j)
+        if side > limit:
+            return False
+    return True
+
+
 def _gram_of_vectors(alg: LieAlgebra, vectors: list) -> MatrixQ:
     m = len(vectors)
     paired = [alg.killing.matvec(v) for v in vectors]
@@ -215,11 +229,10 @@ def gram_matrix(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
         raise ValueError(f"unknown gram mode {mode!r}")
     _check_jobs(jobs)
     if mode == "full":
-        side = full_gram_side(cap)
         limit = gram_size_limit()
-        if side > limit:
+        if not _full_gram_fits(cap, limit):
             raise GramSizeError(
-                f"full Gram side d({cap}) = {side} exceeds limit {limit}; "
+                f"full Gram side d({cap}) exceeds limit {limit}; "
                 f"set {GRAM_LIMIT_ENV} or use reduced mode")
     report = generated_subalgebra(alg, cd, z)
     if mode == "full":
@@ -236,9 +249,7 @@ def gram_matrix(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
 
 
 def _feasible_mode(alg: LieAlgebra) -> str:
-    if full_gram_side(alg.dim) <= gram_size_limit():
-        return "full"
-    return "reduced"
+    return "full" if _full_gram_fits(alg.dim, gram_size_limit()) else "reduced"
 
 
 def _certify(alg: LieAlgebra, cd: CartanDecomposition,

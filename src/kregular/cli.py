@@ -24,13 +24,7 @@ from .certify import (
     nilcone_test,
     separation_probe,
 )
-from .errors import (
-    CatalogError,
-    ConfigError,
-    GramSizeError,
-    SchemaError,
-    ValidationFailure,
-)
+from .errors import InputError, ValidationFailure
 from .roots import catalog_datum, construct_regular
 from .verify import SUITES, verify_suite
 from .words import LyndonWord, evaluate_word, is_lyndon, lyndon_basis
@@ -42,34 +36,28 @@ EXIT_INPUT = 2
 MAX_WORD_DEGREE = 16
 
 
-def _fail_input(msg: str):
-    click.echo(f"error: {msg}", err=True)
-    sys.exit(EXIT_INPUT)
+class _InputBoundary(click.Group):
+    """The one place where an InputError or OSError raised by any command
+    becomes `error: <message>` on stderr and exit 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (InputError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_INPUT)
 
 
 def _resolve_algebra(name, file):
-    try:
-        if file is not None:
-            return kio.load_algebra(kio.read_json(file))
-        if name is None:
-            _fail_input("specify --algebra NAME or --file PATH")
-        return catalog_build(*parse_algebra_name(name))
-    except (SchemaError, ValidationFailure, CatalogError, OSError) as exc:
-        _fail_input(str(exc))
+    if file is not None:
+        return kio.load_algebra(kio.read_json(file))
+    if name is None:
+        raise InputError("specify --algebra NAME or --file PATH")
+    return catalog_build(*parse_algebra_name(name))
 
 
 def _load_element(path, dim):
-    try:
-        return kio.load_element(kio.read_json(path), dim)
-    except (SchemaError, OSError) as exc:
-        _fail_input(str(exc))
-
-
-def _load_datum(path, alg, cd):
-    try:
-        return kio.load_datum(kio.read_json(path), alg, cd)
-    except (SchemaError, ValidationFailure, OSError) as exc:
-        _fail_input(str(exc))
+    return kio.load_element(kio.read_json(path), dim)
 
 
 def _emit(doc):
@@ -88,13 +76,10 @@ degree_opt = click.option("--degree", "-d", default=6, show_default=True,
                           help="largest Lyndon-word degree")
 
 
-@click.group()
+@click.group(cls=_InputBoundary)
 def main():
     """Exact certificates for K-regularity and the K-unstable cone."""
-    try:
-        gram_size_limit()
-    except ConfigError as exc:
-        _fail_input(str(exc))
+    gram_size_limit()
 
 
 @main.group()
@@ -120,20 +105,13 @@ def algebra_info(algebra, file):
 @algebra_opt
 @file_opt
 def algebra_validate(algebra, file):
-    if file is not None:
-        # bypass load_algebra's hard rejection so the full report is shown
-        try:
-            doc = kio.read_json(file)
-            alg, cd = kio.load_algebra(doc)
-            report = validate(alg, cd)
-        except (SchemaError, OSError) as exc:
-            _fail_input(str(exc))
-        except ValidationFailure as exc:
-            _emit({"ok": False, "failed_check": exc.check, "detail": exc.detail})
-            sys.exit(EXIT_INPUT)
-    else:
-        alg, cd = _resolve_algebra(algebra, None)
-        report = validate(alg, cd)
+    try:
+        alg, cd = _resolve_algebra(algebra, file)
+    except ValidationFailure as exc:
+        # a failed check is this command's report, printed on stdout
+        _emit({"ok": False, "failed_check": exc.check, "detail": exc.detail})
+        sys.exit(EXIT_INPUT)
+    report = validate(alg, cd)
     _emit(report.to_dict())
     if not report.ok:
         sys.exit(EXIT_INPUT)
@@ -178,7 +156,7 @@ def eval_word(algebra, file, word, element_path):
     """Evaluate a word's bracketing at the k-/p-parts of an element."""
     alg, cd = _resolve_algebra(algebra, file)
     if not is_lyndon(tuple(word)) or any(c not in "XY" for c in word):
-        _fail_input(f"{word!r} is not a Lyndon word over X, Y")
+        raise InputError(f"{word!r} is not a Lyndon word over X, Y")
     z = _load_element(element_path, alg.dim)
     ez = decompose(cd, z)
     result = evaluate_word(alg, LyndonWord.parse(word), ez.x, ez.y)
@@ -208,7 +186,7 @@ def subalg(algebra, file, element_path):
 @file_opt
 @click.option("--element", "-e", "element_path", required=True, type=click.Path())
 @click.option("--reduced", is_flag=True, help="pair only filtration vectors")
-@click.option("--degree", "-d", default=None, type=int,
+@click.option("--degree", "-d", default=None, type=click.IntRange(min=1),
               help="degree cap (default: dim g)")
 @click.option("--full-matrix", is_flag=True, help="dump all Gram entries")
 @jobs_opt
@@ -216,11 +194,8 @@ def gram(algebra, file, element_path, reduced, degree, full_matrix, jobs):
     """Exact Gram matrix of word evaluations under the Killing form."""
     alg, cd = _resolve_algebra(algebra, file)
     z = _load_element(element_path, alg.dim)
-    try:
-        cert = gram_matrix(alg, cd, z, degree_cap=degree,
-                           mode="reduced" if reduced else "full", jobs=jobs)
-    except (GramSizeError, ValueError) as exc:
-        _fail_input(str(exc))
+    cert = gram_matrix(alg, cd, z, degree_cap=degree,
+                       mode="reduced" if reduced else "full", jobs=jobs)
     _emit(cert.to_dict(include_matrix=full_matrix))
 
 
@@ -237,10 +212,7 @@ def regular():
 def regular_test(algebra, file, element_path, jobs):
     alg, cd = _resolve_algebra(algebra, file)
     z = _load_element(element_path, alg.dim)
-    try:
-        cert = is_k_regular(alg, cd, z, jobs=jobs)
-    except GramSizeError as exc:
-        _fail_input(str(exc))
+    cert = is_k_regular(alg, cd, z, jobs=jobs)
     _emit(cert.to_dict())
     sys.exit(0 if cert.verdict == "k-regular" else EXIT_FAILURE)
 
@@ -255,12 +227,9 @@ def regular_test(algebra, file, element_path, jobs):
 def regular_construct(algebra, file, datum_path, out):
     alg, cd = _resolve_algebra(algebra, file)
     if datum_path is not None:
-        datum = _load_datum(datum_path, alg, cd)
+        datum = kio.load_datum(kio.read_json(datum_path), alg, cd)
     else:
-        try:
-            datum = catalog_datum(alg, cd)
-        except CatalogError as exc:
-            _fail_input(str(exc))
+        datum = catalog_datum(alg, cd)
     ez = construct_regular(alg, cd, datum)
     doc = {
         "element": kio.dump_element(ez.z),
@@ -285,10 +254,7 @@ def nilcone():
 def nilcone_test_cmd(algebra, file, element_path, jobs):
     alg, cd = _resolve_algebra(algebra, file)
     z = _load_element(element_path, alg.dim)
-    try:
-        cert = nilcone_test(alg, cd, z, jobs=jobs)
-    except GramSizeError as exc:
-        _fail_input(str(exc))
+    cert = nilcone_test(alg, cd, z, jobs=jobs)
     _emit(cert.to_dict())
     sys.exit(0 if cert.verdict == "nil-k" else EXIT_FAILURE)
 
@@ -339,9 +305,9 @@ def verify(algebra, file, suite, seed, samples, box, csv_out, datum_path, jobs):
     alg, cd = _resolve_algebra(algebra, file)
     datum = None
     if datum_path is not None:
-        datum = _load_datum(datum_path, alg, cd)
+        datum = kio.load_datum(kio.read_json(datum_path), alg, cd)
     elif suite in ("appendix", "all") and alg.family != "split-sl":
-        _fail_input(f"--suite {suite} needs --datum for a non-catalog algebra")
+        raise InputError(f"--suite {suite} needs --datum for a non-catalog algebra")
     report = verify_suite(alg, cd, suite, seed=seed, samples=samples,
                           jobs=jobs, box=box, datum=datum)
     if csv_out:

@@ -5,11 +5,15 @@ class KregularError(Exception):
     """Base class for package errors."""
 
 
-class SchemaError(KregularError, ValueError):
+class InputError(KregularError, ValueError):
+    """Outside input is malformed or out of range; the CLI exits 2."""
+
+
+class SchemaError(InputError):
     """A JSON document does not match the expected schema."""
 
 
-class ValidationFailure(KregularError, ValueError):
+class ValidationFailure(InputError):
     """A loaded structure failed an exact invariant check."""
 
     def __init__(self, check: str, detail: str = ""):
@@ -19,15 +23,15 @@ class ValidationFailure(KregularError, ValueError):
         super().__init__(msg)
 
 
-class CatalogError(KregularError, ValueError):
+class CatalogError(InputError):
     """Unknown catalog family or size out of range."""
 
 
-class GramSizeError(KregularError, ValueError):
+class GramSizeError(InputError):
     """A full-mode Gram matrix would exceed the configured size limit."""
 
 
-class DegreeBoundError(KregularError, ValueError):
+class DegreeBoundError(InputError):
     """A word-pair degree exceeds the invariant degree bound."""
 
 
@@ -39,5 +43,5 @@ class SoundnessError(KregularError):
     """
 
 
-class ConfigError(KregularError, ValueError):
+class ConfigError(InputError):
     """An environment setting is malformed."""

@@ -1,9 +1,12 @@
 """JSON schemas for algebras, elements, and restricted-root data.
 
-Scalars travel as 4-integer quads [re_num, re_den, im_num, im_den];
-arbitrary precision, base-10 strings permitted.  Loading always validates;
-a document that parses but violates an invariant is rejected with the name
-of the failed check.
+Scalars travel as 4-integer arrays [re_num, re_den, im_num, im_den].  An
+integer is a JSON integer other than true/false, or a string matching the
+ASCII pattern [+-]?[0-9]+ (no spaces, underscores or other digits); both
+stop at Python's integer-string limit, 4300 digits by default.  read_json
+turns whatever it cannot decode into a SchemaError naming the path.
+Loading always validates, shape first; a document that parses but
+violates an invariant is rejected with the name of the failed check.
 """
 
 from __future__ import annotations
@@ -60,9 +63,8 @@ def load_algebra(doc: dict) -> tuple:
     for key in ("name", "dim", "structure", "theta"):
         if key not in doc:
             raise SchemaError(f"algebra document missing {key!r}")
-    name = doc["name"]
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise SchemaError("dim must be a positive integer")
     labels = doc.get("basis_labels")
     if labels is not None and not (isinstance(labels, list)
@@ -70,21 +72,22 @@ def load_algebra(doc: dict) -> tuple:
         raise SchemaError("basis_labels must be a list of dim labels")
     if not isinstance(doc["structure"], list):
         raise SchemaError("structure must be a list of [i, j, coeffs] entries")
+    theta_rows = doc["theta"]
+    if not (isinstance(theta_rows, list) and len(theta_rows) == dim):
+        raise SchemaError("theta must be a dim x dim array")
 
     lower = {}
     for entry in doc["structure"]:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise SchemaError("structure entries must be [i, j, coeffs]")
         i, j, coeffs = entry
-        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j < dim):
+        if not (type(i) is int and type(j) is int and 0 <= i < j < dim):
             raise SchemaError(f"structure indices must satisfy 0 <= i < j < dim, got ({i},{j})")
         lower[(i, j)] = _vector_from_json(coeffs, dim)
-    alg = LieAlgebra.from_lower_table(name, dim, lower, basis_labels=labels)
-
-    theta_rows = doc["theta"]
-    if not (isinstance(theta_rows, list) and len(theta_rows) == dim):
-        raise SchemaError("theta must be a dim x dim array")
     theta = MatrixQ.from_rows([_vector_from_json(r, dim) for r in theta_rows])
+    # shapes are checked first: the algebra's Killing form costs O(dim^4)
+    alg = LieAlgebra.from_lower_table(doc["name"], dim, lower,
+                                      basis_labels=labels)
     cd = CartanDecomposition(theta)
 
     report = validate(alg, cd)
@@ -162,13 +165,15 @@ def load_datum(doc: dict, alg: LieAlgebra,
 
 
 def read_json(path: str) -> dict:
-    """Load a JSON document from a file, or from stdin when path is '-'."""
+    """Load a JSON document from a UTF-8 file, or from stdin when path is
+    '-'.  OSError passes through; anything undecodable is a SchemaError."""
     try:
         if path == "-":
             return json.load(sys.stdin)
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: malformed JSON, bad UTF-8, an over-long integer
         raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
 
 

@@ -237,15 +237,15 @@ def is_nilpotent_matrix(m: MatrixQ, dim: int) -> bool:
 
 
 def nilpotency_exponent(m: MatrixQ):
-    """Least e >= 1 with m^e = 0, or None if m is not nilpotent."""
-    n = m.rows
-    if not is_nilpotent_matrix(m, n):
-        return None
-    p = m
-    e = 1
+    """Least e >= 1 with m^e = 0, or None if m is not nilpotent; an n x n
+    nilpotent m has m^n = 0, so the powers stop at e = max(n, 1)."""
+    if m.rows != m.cols:
+        raise ValueError(f"expected a square matrix, got {m.rows}x{m.cols}")
+    p, e = m, 1
     while not p.is_zero():
-        p = p.matmul(m)
-        e += 1
+        if e >= max(m.rows, 1):
+            return None
+        p, e = p.matmul(m), e + 1
     return e
 
 
@@ -289,6 +289,8 @@ class EchelonSpan:
 
     def add(self, v: Sequence[Scalar]) -> bool:
         """Insert v; returns True if it enlarged the span."""
+        if len(v) != self.ambient_dim:
+            raise ValueError(f"expected length {self.ambient_dim}, got {len(v)}")
         w = self._reduce(v)
         for pc in range(self.ambient_dim):
             if w[pc]:

@@ -6,15 +6,23 @@ rounded.  Both parts are fractions.Fraction.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction as _Q
 
+_INT_STRING = re.compile(r"[+-]?[0-9]+")
 
-def _as_int(v) -> int:
-    if isinstance(v, int):
+
+def parse_int(v) -> int:
+    """The integer rule for outside input: an int that is not a bool, or
+    an ASCII string matching [+-]?[0-9]+ within Python's digit limit.
+    Anything else raises TypeError or ValueError, which callers rename."""
+    if type(v) is int:
         return v
-    if isinstance(v, str):
-        return int(v, 10)
-    raise TypeError(f"expected integer or base-10 string, got {v!r}")
+    if not isinstance(v, str):
+        raise TypeError(f"expected integer or base-10 string, got {v!r}")
+    if not _INT_STRING.fullmatch(v):
+        raise ValueError(f"invalid base-10 integer string {v!r}")
+    return int(v)  # a ValueError past Python's digit limit
 
 
 def _frac_str(q) -> str:
@@ -38,9 +46,9 @@ class Scalar:
     @classmethod
     def from_quad(cls, quad) -> "Scalar":
         """Build from the 4-integer wire encoding [re_num, re_den, im_num, im_den]."""
-        if len(quad) != 4:
+        if not isinstance(quad, (list, tuple)) or len(quad) != 4:
             raise ValueError(f"scalar encoding needs 4 integers, got {quad!r}")
-        rn, rd, im_n, im_d = (_as_int(v) for v in quad)
+        rn, rd, im_n, im_d = (parse_int(v) for v in quad)
         if rd == 0 or im_d == 0:
             raise ValueError(f"zero denominator in scalar encoding {quad!r}")
         return cls(_Q(rn, rd), _Q(im_n, im_d))

@@ -36,7 +36,7 @@ from kregular.linalg import (
     reduced_basis,
 )
 from kregular.scalar import I, ONE, ZERO, Scalar
-from kregular.words import LyndonWord
+from kregular.words import LyndonWord, witt_dimension
 
 from conftest import count_filtrations, flip_regularity, vec
 
@@ -102,6 +102,34 @@ def test_gram_size_limit_rejects_malformed_env(monkeypatch, raw):
     monkeypatch.setenv(GRAM_LIMIT_ENV, raw)
     with pytest.raises(ConfigError, match=GRAM_LIMIT_ENV):
         gram_size_limit()
+
+
+@pytest.mark.parametrize("raw", ["\u0663", " 7", "1_000", "true", "9" * 5000])
+def test_gram_size_limit_follows_the_integer_rule(monkeypatch, raw):
+    monkeypatch.setenv(GRAM_LIMIT_ENV, raw)
+    with pytest.raises(ConfigError, match=GRAM_LIMIT_ENV):
+        gram_size_limit()
+
+
+@pytest.mark.parametrize("raw, limit", [("0", 0), ("+7", 7), ("0012", 12)])
+def test_gram_size_limit_reads_ascii_digit_strings(monkeypatch, raw, limit):
+    monkeypatch.setenv(GRAM_LIMIT_ENV, raw)
+    assert gram_size_limit() == limit
+
+
+def test_full_mode_size_check_stops_summing_past_the_limit(sl2, monkeypatch):
+    degrees = []
+
+    def counting(j):
+        assert j <= 14, "kept summing Witt dimensions past the limit"
+        degrees.append(j)
+        return witt_dimension(j)
+
+    monkeypatch.setattr(certify, "witt_dimension", counting)
+    with pytest.raises(GramSizeError, match=r"d\(20000\) exceeds limit 1500"):
+        gram_matrix(*sl2, Z_REG, degree_cap=20000)
+    # d(13) = 1377 <= 1500 < d(14) = 2538
+    assert degrees == list(range(1, 15))
 
 
 def test_gram_rejects_bad_args(sl2):

@@ -1,4 +1,5 @@
 import ast
+import copy
 import json
 import os
 import subprocess
@@ -7,13 +8,16 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import kregular
 from kregular import io as kio
+from kregular.algebra import LieAlgebra
 from kregular.catalog import catalog_build
 from kregular.certify import GRAM_LIMIT_ENV
 from kregular import cli
 from kregular.cli import main
+from kregular.errors import SoundnessError
 from kregular.roots import catalog_datum
 
 from conftest import count_filtrations, vec
@@ -318,6 +322,154 @@ def test_verify_rejects_out_of_range_flags(runner, flag, value):
         main, ["verify", "-a", "sl2", "--suite", "stabilization", flag, value])
     assert result.exit_code == 2
     assert flag in result.output
+    assert "Traceback" not in result.output
+
+
+def _refused_as_input(result):
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+def test_unwritable_output_path_is_input_error(runner, tmp_path):
+    out = tmp_path / "missing" / "z.json"
+    _refused_as_input(runner.invoke(
+        main, ["regular", "construct", "-a", "sl2", "-o", str(out)]))
+
+
+@pytest.mark.parametrize("content", [
+    b'{"coeffs": [\xff]}',
+    b"[" * 100000,
+    b'{"coeffs": [[' + b"7" * 5000 + b', 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1]]}',
+], ids=["not-utf8", "deep-nesting", "5000-digit-literal"])
+def test_undecodable_element_file_is_input_error(runner, tmp_path, content):
+    path = tmp_path / "z.json"
+    path.write_bytes(content)
+    result = runner.invoke(main, ["subalg", "-a", "sl2", "-e", str(path)])
+    _refused_as_input(result)
+    assert str(path) in result.stderr
+
+
+def test_over_long_gram_limit_is_input_error(runner):
+    result = runner.invoke(main, ["bounds", "-a", "sl2"],
+                           env={GRAM_LIMIT_ENV: "9" * 5000})
+    _refused_as_input(result)
+    assert GRAM_LIMIT_ENV in result.stderr
+
+
+def test_huge_declared_dim_is_refused_before_the_algebra_is_built(
+        runner, tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("LieAlgebra built before the shape checks")
+
+    monkeypatch.setattr(LieAlgebra, "__init__", never)
+    path = tmp_path / "huge.json"
+    path.write_text('{"name":"x","dim":1000000,"structure":[],"theta":[]}')
+    result = runner.invoke(main, ["algebra", "info", "-f", str(path)])
+    _refused_as_input(result)
+    assert "theta" in result.stderr
+
+
+@pytest.mark.parametrize("degree", ["0", "-3"])
+def test_gram_degree_below_one_is_input_error(runner, z_regular, degree):
+    result = runner.invoke(
+        main, ["gram", "-a", "sl2", "-e", z_regular, "--degree", degree])
+    assert result.exit_code == 2
+    assert "--degree" in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+def test_gram_degree_past_the_limit_names_the_ways_out(runner, z_regular):
+    result = runner.invoke(
+        main, ["gram", "-a", "sl2", "-e", z_regular, "--degree", "20000"])
+    _refused_as_input(result)
+    for part in ("d(20000)", "1500", GRAM_LIMIT_ENV, "reduced mode"):
+        assert part in result.stderr
+
+
+@pytest.mark.parametrize("error", [ValueError("a bug"), SoundnessError("a bug")])
+def test_library_bugs_are_not_input_errors(runner, z_regular, monkeypatch,
+                                           error):
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "gram_matrix", broken)
+    result = runner.invoke(main, ["gram", "-a", "sl2", "-e", z_regular])
+    assert result.exit_code == 1
+    assert result.exception is error
+
+
+# Hard inputs: malformed documents fed through stdin, in process.
+_SL2 = catalog_build("split-sl", 2)
+_VALID = {
+    "algebra": kio.dump_algebra(*_SL2),
+    "element": kio.dump_element(vec(3, e0=1, e1=1, e2=-1)),
+    "datum": kio.dump_datum(catalog_datum(*_SL2)),
+}
+_COMMANDS = {
+    "algebra": ["algebra", "info", "-f", "-"],
+    "element": ["subalg", "-a", "sl2", "-e", "-"],
+    "datum": ["regular", "construct", "-a", "sl2", "--datum", "-"],
+}
+_junk = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10 ** 6)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+_quad_parts = st.one_of(
+    st.integers(-3, 3), st.booleans(), _junk,
+    st.sampled_from(["7", "-2", "+0", "1_0", " 1", "\u0663", "x", "9" * 5000]))
+_quads = st.one_of(st.lists(_quad_parts, min_size=4, max_size=4),
+                   st.lists(st.integers(-3, 3), max_size=6))
+_bad_values = st.one_of(
+    _junk, _quads, st.lists(_quads, max_size=4),
+    st.integers(-2, 4), st.just(10 ** 6))
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def _malformed(draw, kind):
+    """A valid sl(2) document with one value replaced or one key dropped,
+    a document of junk, or bytes that may not decode at all."""
+    how = draw(st.sampled_from(("mutate", "mutate", "mutate", "junk", "bytes")))
+    if how == "bytes":
+        return draw(st.binary(max_size=24))
+    if how == "junk":
+        return json.dumps(draw(_junk))
+    doc = copy.deepcopy(_VALID[kind])
+    # top-level keys (dim, theta, roots, ...) as often as any deeper path
+    path = draw(st.sampled_from(list(_paths(doc)))
+                | st.sampled_from([(key,) for key in doc]))
+    if not path:
+        return json.dumps(draw(_bad_values))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(_bad_values)
+    return json.dumps(doc)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(_COMMANDS)).flatmap(
+    lambda kind: st.tuples(st.just(kind), _malformed(kind))))
+def test_malformed_documents_never_escape_the_cli(case):
+    kind, document = case
+    result = CliRunner().invoke(main, _COMMANDS[kind], input=document)
+    assert result.exit_code in (0, 1, 2)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
 
 

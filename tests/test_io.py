@@ -105,3 +105,28 @@ def test_datum_schema_errors(sl2):
         kio.load_datum({"a_basis": []}, alg, cd)
     with pytest.raises(SchemaError):
         kio.load_datum({"a_basis": [], "roots": [{}], "positive": []}, alg, cd)
+
+
+@pytest.mark.parametrize("bad", [True, "1_000", " 7", "\u0663", "7" * 5000])
+def test_element_quads_follow_the_integer_rule(bad):
+    with pytest.raises(SchemaError, match="bad scalar encoding"):
+        kio.load_element({"coeffs": [[bad, 1, 0, 1]]}, 1)
+
+
+@pytest.mark.parametrize("dim", [True, 2.0, "3", 0])
+def test_algebra_dim_must_be_a_positive_int(dim):
+    with pytest.raises(SchemaError, match="dim"):
+        kio.load_algebra({"name": "x", "dim": dim, "structure": [], "theta": []})
+
+
+@pytest.mark.parametrize("content", [
+    b'{"coeffs": [\xff]}',
+    b"[" * 100000,
+    b'{"coeffs": [[' + b"7" * 5000 + b', 1, 0, 1]]}',
+    b"{nope",
+])
+def test_read_json_names_every_undecodable_file(tmp_path, content):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    with pytest.raises(SchemaError, match="invalid JSON in .*doc.json"):
+        kio.read_json(str(path))

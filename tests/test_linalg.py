@@ -649,3 +649,61 @@ def test_span_contains_matches_old_rref_path(m, data):
                                      max_size=m.rows)))
     assert span.contains(inside) and _old_span_contains(m, inside)
     assert span.contains(drawn) == _old_span_contains(m, drawn)
+
+
+def test_add_rejects_a_vector_of_the_wrong_length():
+    for n, bad in ((3, (ONE,)), (2, (ONE, ZERO, ONE))):
+        span = EchelonSpan(n)
+        with pytest.raises(ValueError, match=f"length {n}"):
+            span.add(bad)
+        assert span.basis == [] and span.dim == 0
+
+
+def _old_nilpotency_exponent(m):
+    """The routine before the one-pass rewrite: a squaring pre-pass
+    (is_nilpotent_matrix), then m, m^2, ... until zero."""
+    n = m.rows
+    if not is_nilpotent_matrix(m, n):
+        return None
+    p = m
+    e = 1
+    while not p.is_zero():
+        p = p.matmul(m)
+        e += 1
+    return e
+
+
+gaussian_integers = st.builds(Scalar, st.integers(-2, 2), st.integers(-2, 2))
+
+
+@st.composite
+def conjugated_nilpotents(draw):
+    """U N U^-1 for N strictly upper triangular and U unimodular over
+    Z[i]: a product of elementary matrices I + c e_ij, each with inverse
+    I - c e_ij."""
+    n = draw(st.integers(1, 5))
+    rows = [[draw(gaussian_integers) if j > i else ZERO for j in range(n)]
+            for i in range(n)]
+    m = MatrixQ.from_rows(rows)
+    for _ in range(draw(st.integers(0, 4)) if n > 1 else 0):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(gaussian_integers)
+        e = [[ONE if r == s else ZERO for s in range(n)] for r in range(n)]
+        e_inv = [list(r) for r in e]
+        e[i][j], e_inv[i][j] = c, -c
+        m = MatrixQ.from_rows(e).matmul(m).matmul(MatrixQ.from_rows(e_inv))
+    assert is_nilpotent_matrix(m, n)
+    return m
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(conjugated_nilpotents(), st.integers(1, 5).flatmap(
+    lambda n: _vectors(n, n).map(MatrixQ.from_rows))))
+def test_nilpotency_exponent_matches_old_routine(m):
+    assert nilpotency_exponent(m) == _old_nilpotency_exponent(m)
+
+
+@pytest.mark.parametrize("m", [zeros(0, 0), MatrixQ.identity(1),
+                               MatrixQ.identity(3), zeros(1, 1)])
+def test_nilpotency_exponent_edge_cases_match_old_routine(m):
+    assert nilpotency_exponent(m) == _old_nilpotency_exponent(m)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from kregular.scalar import I, ONE, ZERO, Scalar
+from kregular.scalar import I, ONE, ZERO, Scalar, parse_int
 
 small = st.integers(min_value=-50, max_value=50)
 nonzero_den = st.integers(min_value=1, max_value=20)
@@ -52,6 +52,32 @@ def test_quad_rejects_garbage():
         Scalar.from_quad([1, 0, 0, 1])
     with pytest.raises(TypeError):
         Scalar.from_quad([1.5, 1, 0, 1])
+
+
+@pytest.mark.parametrize("v", [True, False, "1_000", " 7", "7 ", "\u0663",
+                               "", "+", "0x10", "1.0", 1.0, None, [1]])
+def test_parse_int_refuses_all_but_ints_and_ascii_digit_strings(v):
+    with pytest.raises((TypeError, ValueError)):
+        parse_int(v)
+    with pytest.raises((TypeError, ValueError)):
+        Scalar.from_quad([v, 1, 0, 1])
+
+
+def test_parse_int_accepts_ints_and_signed_ascii_digit_strings():
+    assert [parse_int(v) for v in (7, -7, "7", "+7", "-7", "007", "-0")] == [
+        7, -7, 7, 7, -7, 7, 0]
+    assert parse_int("9" * 4000) == 10 ** 4000 - 1
+
+
+def test_parse_int_refuses_strings_past_the_digit_limit():
+    with pytest.raises(ValueError, match="limit"):
+        parse_int("7" * 5000)
+
+
+@pytest.mark.parametrize("quad", ["1111", {"a": 1, "b": 1, "c": 0, "d": 1}])
+def test_quad_must_be_a_list(quad):
+    with pytest.raises(ValueError, match="4 integers"):
+        Scalar.from_quad(quad)
 
 
 def test_division_and_inverse():
