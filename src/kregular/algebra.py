@@ -1,8 +1,9 @@
 """Lie algebra structure: brackets, ad, Killing form, Cartan decompositions.
 
-A LieAlgebra is given by structure constants over a fixed basis; the
-Killing matrix is computed once at construction and cached, since every
-Gram-certificate pairing consults it.
+A LieAlgebra is given by structure constants over a fixed basis, held in
+one sparse table, LieAlgebra.structure, which every operation here reads.
+The Killing matrix is computed from it once at construction and cached,
+since every Gram-certificate pairing consults it.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ from .linalg import (
     linear_combination,
     nullspace_of,
     rank_of,
-    vec_add,
     vec_dot,
-    vec_is_zero,
 )
 from .scalar import ONE, ZERO, Scalar
 
@@ -44,13 +43,13 @@ def _densify(sv: SparseVec, dim: int) -> Vector:
 class LieAlgebra:
     """A complex semisimple Lie algebra in a fixed basis.
 
-    structure maps an ordered pair (i, j) to the sparse coefficient vector
-    of [b_i, b_j]; both orientations are stored so that a defective
+    structure is the one table of structure constants: it maps an ordered
+    pair (i, j) to the sparse coefficient vector of [b_i, b_j], a tuple of
+    (k, c^k_ij) pairs.  Both orientations are stored so that a defective
     (non-antisymmetric) table can be represented and caught by validate().
     """
 
-    __slots__ = ("name", "dim", "basis_labels", "structure", "killing", "family",
-                 "_adj")
+    __slots__ = ("name", "dim", "basis_labels", "structure", "killing", "family")
 
     def __init__(self, name: str, dim: int, structure: dict,
                  basis_labels: Optional[Sequence[str]] = None,
@@ -61,10 +60,6 @@ class LieAlgebra:
             f"b{i}" for i in range(dim))
         self.structure = dict(structure)
         self.family = family
-        adj = {}
-        for (i, j), terms in self.structure.items():
-            adj.setdefault(i, []).append((j, terms))
-        self._adj = adj
         self.killing = self._compute_killing()
 
     @classmethod
@@ -89,13 +84,16 @@ class LieAlgebra:
         return tuple(ONE if k == i else ZERO for k in range(self.dim))
 
     def _compute_killing(self) -> MatrixQ:
-        # B_ij = tr(ad_i ad_j): ad_i's entries against ad_j's transpose,
-        # both row-major; all n^2 entries, so validate() checks symmetry
-        ads = [ad_matrix(self, self.basis_vector(i)) for i in range(self.dim)]
-        transposed = [tuple(e for r in range(self.dim) for e in b.column(r))
-                      for b in ads]
-        return MatrixQ(self.dim, self.dim,
-                       [vec_dot(a.entries, bt) for a in ads for bt in transposed])
+        # B_ij = tr(ad_i ad_j) over sparse (ad_i)[k, l] = c^k_il, repeated k
+        # accumulated as ad_matrix does; all n^2 entries, so validate()
+        # checks symmetry
+        ads = [{} for _ in range(self.dim)]
+        for (i, l), terms in self.structure.items():
+            for k, c in terms:
+                ads[i][k, l] = ads[i].get((k, l), ZERO) + c
+        return MatrixQ(self.dim, self.dim, [
+            vec_dot(a.values(), [b.get((l, k), ZERO) for k, l in a])
+            for a in ads for b in ads])
 
     def __repr__(self) -> str:
         return f"LieAlgebra({self.name}, dim={self.dim})"
@@ -117,17 +115,6 @@ def bracket(alg: LieAlgebra, u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector
             c = ui * vj
             for k, s in terms:
                 out[k] = out[k] + c * s
-    return tuple(out)
-
-
-def bracket_basis(alg: LieAlgebra, i: int, v: Sequence[Scalar]) -> Vector:
-    """[b_i, v] using the per-index adjacency (fast path for basis elements)."""
-    out = [ZERO] * alg.dim
-    for j, terms in alg._adj.get(i, ()):
-        vj = v[j]
-        if vj:
-            for k, s in terms:
-                out[k] = out[k] + vj * s
     return tuple(out)
 
 
@@ -277,17 +264,20 @@ def validate(alg: LieAlgebra, cd: Optional[CartanDecomposition] = None) -> Valid
     rep.record("antisymmetry", bad is None, f"({bad[0]},{bad[1]})" if bad else "")
 
     bad = None
+    st = alg.structure
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                s = vec_add(
-                    vec_add(
-                        bracket_basis(alg, i, alg.table(j, k)),
-                        bracket_basis(alg, j, alg.table(k, i)),
-                    ),
-                    bracket_basis(alg, k, alg.table(i, j)),
-                )
-                if not vec_is_zero(s):
+                # [b_a, [b_b, b_c]] summed over the cyclic orders; the inner
+                # bracket is read as table() reads it, so a repeated index
+                # keeps its last coefficient
+                s = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, cm in dict(st.get((b, c), ())).items():
+                        if cm:
+                            for t, ct in st.get((a, m), ()):
+                                s[t] = s.get(t, ZERO) + cm * ct
+                if any(s.values()):
                     bad = (i, j, k)
                     break
             if bad:

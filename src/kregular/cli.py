@@ -24,7 +24,7 @@ from .certify import (
     nilcone_test,
     separation_probe,
 )
-from .errors import InputError, ValidationFailure
+from .errors import InputError
 from .roots import catalog_datum, construct_regular
 from .verify import SUITES, verify_suite
 from .words import LyndonWord, evaluate_word, is_lyndon, lyndon_basis
@@ -68,9 +68,6 @@ algebra_opt = click.option("--algebra", "-a", default=None,
                            help="catalog name, e.g. sl2 or split-sl:3")
 file_opt = click.option("--file", "-f", default=None, type=click.Path(),
                         help="algebra JSON file")
-jobs_opt = click.option("--jobs", "-j", default=1, show_default=True,
-                        type=click.IntRange(min=1),
-                        help="accepted for compatibility; has no effect")
 degree_opt = click.option("--degree", "-d", default=6, show_default=True,
                           type=click.IntRange(1, MAX_WORD_DEGREE),
                           help="largest Lyndon-word degree")
@@ -105,15 +102,17 @@ def algebra_info(algebra, file):
 @algebra_opt
 @file_opt
 def algebra_validate(algebra, file):
-    try:
-        alg, cd = _resolve_algebra(algebra, file)
-    except ValidationFailure as exc:
-        # a failed check is this command's report, printed on stdout
-        _emit({"ok": False, "failed_check": exc.check, "detail": exc.detail})
-        sys.exit(EXIT_INPUT)
+    if file is not None:
+        alg, cd = kio.build_algebra(kio.read_json(file))
+    else:
+        alg, cd = _resolve_algebra(algebra, None)
     report = validate(alg, cd)
-    _emit(report.to_dict())
-    if not report.ok:
+    bad = report.first_failure
+    if bad is None:
+        _emit(report.to_dict())
+    else:
+        # a failed check is this command's report, printed on stdout
+        _emit({"ok": False, "failed_check": bad.name, "detail": bad.detail})
         sys.exit(EXIT_INPUT)
 
 
@@ -189,13 +188,12 @@ def subalg(algebra, file, element_path):
 @click.option("--degree", "-d", default=None, type=click.IntRange(min=1),
               help="degree cap (default: dim g)")
 @click.option("--full-matrix", is_flag=True, help="dump all Gram entries")
-@jobs_opt
-def gram(algebra, file, element_path, reduced, degree, full_matrix, jobs):
+def gram(algebra, file, element_path, reduced, degree, full_matrix):
     """Exact Gram matrix of word evaluations under the Killing form."""
     alg, cd = _resolve_algebra(algebra, file)
     z = _load_element(element_path, alg.dim)
     cert = gram_matrix(alg, cd, z, degree_cap=degree,
-                       mode="reduced" if reduced else "full", jobs=jobs)
+                       mode="reduced" if reduced else "full")
     _emit(cert.to_dict(include_matrix=full_matrix))
 
 
@@ -208,11 +206,10 @@ def regular():
 @algebra_opt
 @file_opt
 @click.option("--element", "-e", "element_path", required=True, type=click.Path())
-@jobs_opt
-def regular_test(algebra, file, element_path, jobs):
+def regular_test(algebra, file, element_path):
     alg, cd = _resolve_algebra(algebra, file)
     z = _load_element(element_path, alg.dim)
-    cert = is_k_regular(alg, cd, z, jobs=jobs)
+    cert = is_k_regular(alg, cd, z)
     _emit(cert.to_dict())
     sys.exit(0 if cert.verdict == "k-regular" else EXIT_FAILURE)
 
@@ -250,11 +247,10 @@ def nilcone():
 @algebra_opt
 @file_opt
 @click.option("--element", "-e", "element_path", required=True, type=click.Path())
-@jobs_opt
-def nilcone_test_cmd(algebra, file, element_path, jobs):
+def nilcone_test_cmd(algebra, file, element_path):
     alg, cd = _resolve_algebra(algebra, file)
     z = _load_element(element_path, alg.dim)
-    cert = nilcone_test(alg, cd, z, jobs=jobs)
+    cert = nilcone_test(alg, cd, z)
     _emit(cert.to_dict())
     sys.exit(0 if cert.verdict == "nil-k" else EXIT_FAILURE)
 
@@ -299,8 +295,7 @@ def separate(algebra, file, element_path, element2_path, degree):
               type=click.IntRange(min=0), help="sampling box half-width")
 @click.option("--csv", "csv_out", is_flag=True, help="emit a CSV summary")
 @click.option("--datum", "datum_path", default=None, type=click.Path())
-@jobs_opt
-def verify(algebra, file, suite, seed, samples, box, csv_out, datum_path, jobs):
+def verify(algebra, file, suite, seed, samples, box, csv_out, datum_path):
     """Run a seeded verification suite; exit 1 on any property failure."""
     alg, cd = _resolve_algebra(algebra, file)
     datum = None
@@ -309,7 +304,7 @@ def verify(algebra, file, suite, seed, samples, box, csv_out, datum_path, jobs):
     elif suite in ("appendix", "all") and alg.family != "split-sl":
         raise InputError(f"--suite {suite} needs --datum for a non-catalog algebra")
     report = verify_suite(alg, cd, suite, seed=seed, samples=samples,
-                          jobs=jobs, box=box, datum=datum)
+                          box=box, datum=datum)
     if csv_out:
         click.echo(report.to_csv(), nl=False)
     else:

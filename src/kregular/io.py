@@ -7,6 +7,7 @@ stop at Python's integer-string limit, 4300 digits by default.  read_json
 turns whatever it cannot decode into a SchemaError naming the path.
 Loading always validates, shape first; a document that parses but
 violates an invariant is rejected with the name of the failed check.
+build_algebra stops before validation, for a caller that reports it.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ def dump_algebra(alg: LieAlgebra, cd: CartanDecomposition) -> dict:
     }
 
 
-def load_algebra(doc: dict) -> tuple:
-    """Parse and fully validate an algebra document; returns (alg, cd)."""
+def build_algebra(doc: dict) -> tuple:
+    """Check an algebra document's shape and build (alg, cd), unvalidated."""
     if not isinstance(doc, dict):
         raise SchemaError("algebra document must be a JSON object")
     for key in ("name", "dim", "structure", "theta"):
@@ -88,13 +89,20 @@ def load_algebra(doc: dict) -> tuple:
     # shapes are checked first: the algebra's Killing form costs O(dim^4)
     alg = LieAlgebra.from_lower_table(doc["name"], dim, lower,
                                       basis_labels=labels)
-    cd = CartanDecomposition(theta)
+    return alg, CartanDecomposition(theta)
 
-    report = validate(alg, cd)
-    if not report.ok:
-        bad = report.first_failure
-        raise ValidationFailure(bad.name, bad.detail)
+
+def load_algebra(doc: dict) -> tuple:
+    """Parse and fully validate an algebra document; returns (alg, cd)."""
+    alg, cd = build_algebra(doc)
+    _raise_first_failure(validate(alg, cd))
     return alg, cd
+
+
+def _raise_first_failure(report) -> None:
+    bad = report.first_failure
+    if bad is not None:
+        raise ValidationFailure(bad.name, bad.detail)
 
 
 def dump_element(v: Sequence[Scalar]) -> dict:
@@ -157,10 +165,7 @@ def load_datum(doc: dict, alg: LieAlgebra,
         raise SchemaError("positive must be a list of integer root indices")
     datum = RestrictedRootDatum(
         a_basis=a_basis, hm_basis=hm_basis, roots=tuple(roots), positive=positive)
-    report = validate_datum(alg, cd, datum)
-    if not report.ok:
-        bad = report.first_failure
-        raise ValidationFailure(bad.name, bad.detail)
+    _raise_first_failure(validate_datum(alg, cd, datum))
     return datum
 
 

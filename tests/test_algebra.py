@@ -1,16 +1,19 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kregular.algebra import (
     CartanDecomposition,
     LieAlgebra,
     ad_matrix,
     bracket,
-    bracket_basis,
     decompose,
     killing_pair,
     validate,
 )
-from kregular.linalg import MatrixQ, vec_is_zero
+from kregular.catalog import catalog_build
+from kregular.linalg import MatrixQ, vec_add, vec_dot, vec_is_zero
 from kregular.scalar import ONE, ZERO, Scalar
 
 from conftest import vec
@@ -35,11 +38,99 @@ def test_sl2_brackets(sl2):
     assert vec_is_zero(bracket(alg, h, h))
 
 
-def test_bracket_basis_fast_path(sl3):
-    alg, _ = sl3
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            assert bracket_basis(alg, i, alg.basis_vector(j)) == alg.table(i, j)
+def _dense_killing(alg):
+    """Reference Killing entries: n dense ad matrices, their transposes
+    and n^2 dot products of length n^2."""
+    ads = [ad_matrix(alg, alg.basis_vector(i)) for i in range(alg.dim)]
+    transposed = [tuple(e for r in range(alg.dim) for e in b.column(r))
+                  for b in ads]
+    return [vec_dot(a.entries, bt) for a in ads for bt in transposed]
+
+
+def _dense_jacobi(alg):
+    """Reference Jacobi check over dense vectors: the first triple
+    i < j < k whose cyclic sum [b_a, [b_b, b_c]] is nonzero, or None."""
+    adj = {}
+    for (i, j), terms in alg.structure.items():
+        adj.setdefault(i, []).append((j, terms))
+
+    def bracket_basis(i, v):
+        out = [ZERO] * alg.dim
+        for j, terms in adj.get(i, ()):
+            if v[j]:
+                for k, s in terms:
+                    out[k] = out[k] + v[j] * s
+        return tuple(out)
+
+    n = alg.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                s = vec_add(vec_add(bracket_basis(i, alg.table(j, k)),
+                                    bracket_basis(j, alg.table(k, i))),
+                            bracket_basis(k, alg.table(i, j)))
+                if not vec_is_zero(s):
+                    return (i, j, k)
+    return None
+
+
+def _assert_matches_dense_reference(alg):
+    assert list(alg.killing.entries) == _dense_killing(alg)
+    jacobi = [c for c in validate(alg).checks if c.name == "jacobi"][0]
+    bad = _dense_jacobi(alg)
+    assert jacobi.passed == (bad is None)
+    assert jacobi.detail == ("jacobi({},{},{})".format(*bad) if bad else "")
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, 5])
+def test_catalog_matches_dense_reference(size):
+    _assert_matches_dense_reference(catalog_build("split-sl", size)[0])
+
+
+def test_su21_matches_dense_reference(su21):
+    _assert_matches_dense_reference(su21[0])
+
+
+gaussian_rationals = st.builds(
+    lambda a, b, c, d: Scalar(Fraction(a, b), Fraction(c, d)),
+    st.integers(-3, 3), st.integers(1, 3), st.integers(-3, 3),
+    st.integers(1, 3))
+
+
+@st.composite
+def sparse_tables(draw):
+    """A sparse table on 2..5 basis vectors: either an antisymmetric
+    closure (usually violating Jacobi) or a raw table on ordered pairs,
+    not antisymmetric, whose terms may repeat an index or hold a zero."""
+    dim = draw(st.integers(2, 5))
+    pairs = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+    terms = st.lists(st.tuples(st.integers(0, dim - 1), gaussian_rationals),
+                     min_size=1, max_size=4).map(tuple)
+    if draw(st.booleans()):
+        lower = draw(st.dictionaries(pairs.filter(lambda p: p[0] < p[1]),
+                                     terms, max_size=6))
+        return LieAlgebra.from_lower_table("drawn", dim, lower)
+    return LieAlgebra("drawn", dim, draw(st.dictionaries(pairs, terms,
+                                                         max_size=8)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_tables())
+def test_sparse_table_matches_dense_reference(alg):
+    _assert_matches_dense_reference(alg)
+
+
+def test_repeated_index_matches_dense_reference():
+    # [b0, b1] lists b0 twice and [b1, b2] lists b1 twice, cancelling: ad
+    # sums a repeated index (B_01 = 3), while table() keeps the last
+    # coefficient ([b1, b2] = -b1), so triple (0, 1, 2) fails Jacobi
+    structure = {(0, 1): ((0, ONE), (0, Scalar(2))),
+                 (1, 0): ((1, ONE),),
+                 (1, 2): ((1, ONE), (1, -ONE))}
+    alg = LieAlgebra("repeated", 3, structure)
+    _assert_matches_dense_reference(alg)
+    assert alg.killing[0, 1] == Scalar(3)
+    assert validate(alg).checks[1].detail == "jacobi(0,1,2)"
 
 
 def test_ad_matrix(sl2):

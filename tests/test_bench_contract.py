@@ -1,7 +1,9 @@
 """The benchmark's traced mode looks up library names by string; a clean-up
 that deletes or renames one of them must fail here, not in the benchmark."""
 
+import ast
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,7 +12,9 @@ from kregular import Scalar, catalog_build
 
 from conftest import vec
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "bench" / "spans.py"
+RUN = ROOT / "bench" / "run.py"
 
 
 def _load_spans():
@@ -55,3 +59,18 @@ def test_every_traced_name_installs_and_restores():
         assert tracer.stats[name][0] >= 1, name
     assert tracer.scalar_ops[0] > 0
     assert all(Scalar.__dict__[attr] is f for attr, f in dunders.items())
+
+
+def test_setup_probe_prints_one_float():
+    # the cold set-up probe behind setup_s, read from bench/run.py without
+    # importing it and run as run.setup_seconds runs it, on this checkout
+    tree = ast.parse(RUN.read_text())
+    probe = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["SETUP_PROBE"])
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", probe, str(ROOT / "src"), "2", "3", "4"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120, check=True)
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1, proc.stdout
+    assert float(lines[0]) > 0
