@@ -64,7 +64,6 @@ from .roots import (
 from .verify import SUITES, VerifyReport, verify_suite
 from .errors import (
     CatalogError,
-    ConfigError,
     DegreeBoundError,
     GramSizeError,
     InputError,
@@ -92,7 +91,7 @@ __all__ = [
     "RestrictedRoot", "RestrictedRootDatum", "build_regular", "catalog_datum",
     "choose_x0", "choose_y", "construct_regular", "validate_datum", "zeta_value",
     "SUITES", "VerifyReport", "verify_suite",
-    "CatalogError", "ConfigError", "DegreeBoundError", "GramSizeError",
+    "CatalogError", "DegreeBoundError", "GramSizeError",
     "InputError", "KregularError", "SchemaError", "SoundnessError",
     "ValidationFailure", "__version__",
 ]

@@ -143,10 +143,9 @@ def centralizer(alg: LieAlgebra, basis: Sequence, vectors: Sequence) -> list:
     """
     if not vectors:
         return [tuple(u) for u in basis]
-    ad_u = [ad_matrix(alg, u) for u in basis]
     rows = []
     for v in vectors:
-        cols = [a.matvec(v) for a in ad_u]
+        cols = [bracket(alg, u, v) for u in basis]
         for r in range(alg.dim):
             rows.append([col[r] for col in cols])
     return [linear_combination(coeffs, basis, alg.dim)
@@ -251,15 +250,13 @@ def validate(alg: LieAlgebra, cd: Optional[CartanDecomposition] = None) -> Valid
     rep = ValidationReport()
     n = alg.dim
 
+    # a pair absent from structure in both orders is zero both ways, so
+    # the stored pairs in order hold the first bad pair
     bad = None
-    for i in range(n):
-        for j in range(i, n):
-            lhs = alg.table(i, j)
-            rhs = tuple(-c for c in alg.table(j, i))
-            if lhs != rhs:
-                bad = (i, j)
-                break
-        if bad:
+    for i, j in sorted({(min(a, b), max(a, b)) for a, b in alg.structure
+                        if 0 <= min(a, b) and max(a, b) < n}):
+        if alg.table(i, j) != tuple(-c for c in alg.table(j, i)):
+            bad = (i, j)
             break
     rep.record("antisymmetry", bad is None, f"({bad[0]},{bad[1]})" if bad else "")
 
@@ -297,13 +294,14 @@ def validate(alg: LieAlgebra, cd: Optional[CartanDecomposition] = None) -> Valid
     ident = MatrixQ.identity(n)
     rep.record("theta-involution", cd.theta.matmul(cd.theta) == ident)
 
+    # theta[b_i, b_j] as a combination of theta's columns, which skips the
+    # zero coefficients of a sparse bracket
+    cols = [cd.theta.column(j) for j in range(n)]
     bad = None
     for i in range(n):
-        ti = cd.theta.column(i)
         for j in range(i + 1, n):
-            lhs = cd.theta.matvec(alg.table(i, j))
-            rhs = bracket(alg, ti, cd.theta.column(j))
-            if lhs != rhs:
+            lhs = linear_combination(alg.table(i, j), cols, n)
+            if lhs != bracket(alg, cols[i], cols[j]):
                 bad = (i, j)
                 break
         if bad:
@@ -325,14 +323,8 @@ def validate(alg: LieAlgebra, cd: Optional[CartanDecomposition] = None) -> Valid
     rep.record("properness", proper,
                "" if proper else f"span[p,p] dim {pp.dim}, k dim {k_span.dim}")
 
-    bad = None
-    for u in cd.k_basis:
-        for v in cd.p_basis:
-            if killing_pair(alg, u, v):
-                bad = True
-                break
-        if bad:
-            break
-    rep.record("killing-k-p-orthogonal", bad is None)
+    paired = [alg.killing.matvec(v) for v in cd.p_basis]
+    orthogonal = not any(vec_dot(u, w) for u in cd.k_basis for w in paired)
+    rep.record("killing-k-p-orthogonal", orthogonal)
 
     return rep

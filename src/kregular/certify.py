@@ -5,7 +5,9 @@ Killing form; its rank detects whether the subalgebra generated by the
 k- and p-parts of z is all of g.  Full mode uses every Lyndon word up to
 the degree cap; reduced mode pairs only the filtration's spanning vectors
 of g(z).  Both vector sets span g(z), so the two Gram matrices always
-have equal rank; full mode stays the default where its size is feasible.
+have equal rank.  Which mode a certificate uses is fixed by dim g alone:
+full while d(dim g) <= GRAM_LIMIT, that is up to dim g = 13, and reduced
+from dim g = 14 up.
 
 A certificate computes g(z) once and carries it as `subalgebra`, which
 reduced mode pairs, the regularity cross-check reads and the verify
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -31,7 +32,6 @@ from .algebra import (
     killing_pair,
 )
 from .errors import (
-    ConfigError,
     DegreeBoundError,
     GramSizeError,
     SoundnessError,
@@ -44,29 +44,18 @@ from .linalg import (
     reduced_basis,
     vec_dot,
 )
-from .scalar import ZERO, Scalar, parse_int
+from .scalar import ZERO, Scalar
 from .words import LyndonWord, WordEvaluator, lyndon_basis, witt_dimension
 
-DEFAULT_GRAM_LIMIT = 1500
-GRAM_LIMIT_ENV = "KREGULAR_GRAM_LIMIT"
+# Largest full-mode Gram side: d(13) = 1377 fits and d(14) = 2538 does
+# not, so certificates pair every Lyndon word up to dim g = 13 (sl(2),
+# sl(3), su(2,1)) and only g(z)'s spanning vectors from dim g = 14 up
+# (sl(4), sl(5)), where the full side runs into the thousands.
+GRAM_LIMIT = 1500
 
 VERDICT_REGULAR = "k-regular"
 VERDICT_NIL = "nil-k"
 VERDICT_NEITHER = "neither"
-
-
-def gram_size_limit() -> int:
-    raw = os.environ.get(GRAM_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_GRAM_LIMIT
-    try:
-        limit = parse_int(raw)
-    except ValueError:
-        limit = -1  # refused below, with the same message as a negative value
-    if limit < 0:
-        raise ConfigError(
-            f"{GRAM_LIMIT_ENV}={raw!r} is not a non-negative integer")
-    return limit
 
 
 @dataclass
@@ -193,12 +182,13 @@ def full_gram_side(degree_cap: int) -> int:
     return sum(witt_dimension(j) for j in range(1, degree_cap + 1))
 
 
-def _full_gram_fits(degree_cap: int, limit: int) -> bool:
-    """d(cap) <= limit, summing Witt dimensions only until they pass limit."""
+def _full_gram_fits(degree_cap: int) -> bool:
+    """d(cap) <= GRAM_LIMIT, summing Witt dimensions only until they pass
+    it, so a huge cap costs no more than cap 14."""
     side = 0
     for j in range(1, degree_cap + 1):
         side += witt_dimension(j)
-        if side > limit:
+        if side > GRAM_LIMIT:
             return False
     return True
 
@@ -228,12 +218,10 @@ def gram_matrix(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
     if mode not in ("full", "reduced"):
         raise ValueError(f"unknown gram mode {mode!r}")
     _check_jobs(jobs)
-    if mode == "full":
-        limit = gram_size_limit()
-        if not _full_gram_fits(cap, limit):
-            raise GramSizeError(
-                f"full Gram side d({cap}) exceeds limit {limit}; "
-                f"set {GRAM_LIMIT_ENV} or use reduced mode")
+    if mode == "full" and not _full_gram_fits(cap):
+        raise GramSizeError(
+            f"full Gram side d({cap}) exceeds limit {GRAM_LIMIT}; "
+            "lower the degree cap or use reduced mode")
     report = generated_subalgebra(alg, cd, z)
     if mode == "full":
         ez = decompose(cd, z)
@@ -249,7 +237,7 @@ def gram_matrix(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
 
 
 def _feasible_mode(alg: LieAlgebra) -> str:
-    return "full" if _full_gram_fits(alg.dim, gram_size_limit()) else "reduced"
+    return "full" if _full_gram_fits(alg.dim) else "reduced"
 
 
 def _certify(alg: LieAlgebra, cd: CartanDecomposition,

@@ -19,7 +19,6 @@ from .certify import (
     degree_bounds,
     generated_subalgebra,
     gram_matrix,
-    gram_size_limit,
     is_k_regular,
     nilcone_test,
     separation_probe,
@@ -76,7 +75,6 @@ degree_opt = click.option("--degree", "-d", default=6, show_default=True,
 @click.group(cls=_InputBoundary)
 def main():
     """Exact certificates for K-regularity and the K-unstable cone."""
-    gram_size_limit()
 
 
 @main.group()

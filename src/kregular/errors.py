@@ -28,7 +28,7 @@ class CatalogError(InputError):
 
 
 class GramSizeError(InputError):
-    """A full-mode Gram matrix would exceed the configured size limit."""
+    """A full-mode Gram matrix would exceed the fixed size limit."""
 
 
 class DegreeBoundError(InputError):
@@ -41,7 +41,3 @@ class SoundnessError(KregularError):
     Raised instead of an assert, so that the check also runs under
     python -O.
     """
-
-
-class ConfigError(InputError):
-    """An environment setting is malformed."""

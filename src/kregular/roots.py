@@ -35,6 +35,10 @@ from .linalg import (
 )
 from .scalar import Scalar
 
+# half-width of the largest box choose_y and choose_x0 search; a valid
+# datum never exhausts it, so running out raises SoundnessError
+MAX_HALF_WIDTH = 64
+
 
 @dataclass(frozen=True)
 class RestrictedRoot:
@@ -228,7 +232,7 @@ def _scaled_value_table(datum: RestrictedRootDatum) -> list:
             for r in datum.roots]
 
 
-def choose_y(datum: RestrictedRootDatum, max_half_width: int = 64) -> Vector:
+def choose_y(datum: RestrictedRootDatum) -> Vector:
     """First integer combination of the a-basis with all root values
     pairwise distinct and nonzero.
 
@@ -241,7 +245,7 @@ def choose_y(datum: RestrictedRootDatum, max_half_width: int = 64) -> Vector:
     if not datum.roots:
         return datum.a_basis[0]
     table = _scaled_value_table(datum)
-    for tup in _box_candidates(datum.dim_a, max_half_width):
+    for tup in _box_candidates(datum.dim_a, MAX_HALF_WIDTH):
         seen = set()
         for row in table:
             re = im = 0
@@ -285,8 +289,7 @@ def _cyclic_generator(alg: LieAlgebra, x0: Sequence[Scalar],
     return None
 
 
-def choose_x0(alg: LieAlgebra, datum: RestrictedRootDatum,
-              max_half_width: int = 64) -> Vector:
+def choose_x0(alg: LieAlgebra, datum: RestrictedRootDatum) -> Vector:
     """Element of h_m making every multiplicity->=2 root space a cyclic
     ad-module; the zero vector when no such root space exists."""
     ambient = alg.dim
@@ -296,7 +299,7 @@ def choose_x0(alg: LieAlgebra, datum: RestrictedRootDatum,
     if not datum.hm_basis:
         raise ValidationFailure("mult-high-needs-hm",
                                 "cannot choose x0 with empty h_m")
-    for tup in _box_candidates(len(datum.hm_basis), max_half_width):
+    for tup in _box_candidates(len(datum.hm_basis), MAX_HALF_WIDTH):
         x0 = linear_combination([Scalar(c) for c in tup], datum.hm_basis,
                                 ambient)
         if all(_cyclic_generator(alg, x0, r) is not None for r in high):

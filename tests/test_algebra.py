@@ -232,3 +232,94 @@ def test_bracket_dimension_mismatch(sl2):
     alg, _ = sl2
     with pytest.raises(ValueError):
         bracket(alg, (ONE,), alg.basis_vector(0))
+
+
+def _dense_antisymmetry(alg):
+    """Reference antisymmetry check: every pair i <= j compared densely."""
+    for i in range(alg.dim):
+        for j in range(i, alg.dim):
+            if alg.table(i, j) != tuple(-c for c in alg.table(j, i)):
+                return (i, j)
+    return None
+
+
+def _dense_theta_automorphism(alg, cd):
+    """Reference automorphism check: a dense theta matvec per pair."""
+    for i in range(alg.dim):
+        ti = cd.theta.column(i)
+        for j in range(i + 1, alg.dim):
+            if cd.theta.matvec(alg.table(i, j)) != bracket(
+                    alg, ti, cd.theta.column(j)):
+                return (i, j)
+    return None
+
+
+def _assert_validate_matches_dense_loops(alg, cd):
+    checks = {c.name: c for c in validate(alg, cd).checks}
+    for name, bad in (("antisymmetry", _dense_antisymmetry(alg)),
+                      ("theta-automorphism",
+                       _dense_theta_automorphism(alg, cd))):
+        assert checks[name].passed == (bad is None), name
+        assert checks[name].detail == ("({},{})".format(*bad) if bad else "")
+    orthogonal = not any(killing_pair(alg, u, v)
+                         for u in cd.k_basis for v in cd.p_basis)
+    assert checks["killing-k-p-orthogonal"].passed == orthogonal
+
+
+def _theta_swapping(n, a, b):
+    return MatrixQ.from_rows([[ONE if j == {a: b, b: a}.get(i, i) else ZERO
+                               for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, 5])
+def test_validate_matches_dense_loops_on_catalog(size):
+    _assert_validate_matches_dense_loops(*catalog_build("split-sl", size))
+
+
+def test_validate_matches_dense_loops_on_su21_and_broken_theta(su21, sl2, sl3):
+    _assert_validate_matches_dense_loops(*su21)
+    # swapping e and f is an involution but not an automorphism of sl(2)
+    swap = _theta_swapping(3, 1, 2)
+    _assert_validate_matches_dense_loops(sl2[0], CartanDecomposition(swap))
+    alg, cd = sl3
+    flipped = MatrixQ.from_columns(
+        [tuple(-c for c in col) if j == 4 else col
+         for j, col in enumerate(cd.theta.column(j) for j in range(8))])
+    _assert_validate_matches_dense_loops(alg, CartanDecomposition(flipped))
+    assert not validate(alg, CartanDecomposition(flipped)).ok
+
+
+@pytest.mark.parametrize("structure", [
+    {(1, 2): ((0, ONE),)},  # one orientation only
+    {(0, 1): ((0, ONE), (0, Scalar(2))), (1, 0): ((1, ONE),),
+     (1, 2): ((1, ONE), (1, -ONE))},  # a repeated index
+    {(1, 1): ((0, ONE),), (1, 2): ((0, ONE),)},  # a diagonal key first
+    {(2, 1): ((2, ONE),), (2, 2): ((1, ONE),)},  # out of order, then diagonal
+], ids=["one-orientation", "repeated-index", "diagonal", "diagonal-later"])
+def test_validate_matches_dense_loops_on_raw_tables(structure):
+    alg = LieAlgebra("raw", 3, structure)
+    for theta in (MatrixQ.identity(3), _theta_swapping(3, 0, 2)):
+        _assert_validate_matches_dense_loops(alg, CartanDecomposition(theta))
+
+
+@st.composite
+def tables_with_theta(draw):
+    """A drawn sparse table with a signed-permutation or a dense theta."""
+    alg = draw(sparse_tables())
+    n = alg.dim
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        signs = draw(st.lists(st.sampled_from((ONE, -ONE)), min_size=n,
+                              max_size=n))
+        rows = [[signs[i] if j == perm[i] else ZERO for j in range(n)]
+                for i in range(n)]
+    else:
+        rows = draw(st.lists(st.lists(gaussian_rationals, min_size=n,
+                                      max_size=n), min_size=n, max_size=n))
+    return alg, CartanDecomposition(MatrixQ.from_rows(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables_with_theta())
+def test_validate_matches_dense_loops_on_drawn_tables(drawn):
+    _assert_validate_matches_dense_loops(*drawn)

@@ -6,12 +6,10 @@ import pytest
 from kregular import certify
 from kregular.algebra import ad_matrix, bracket, decompose, killing_pair
 from kregular.certify import (
-    GRAM_LIMIT_ENV,
     centralizer_in_k,
     degree_bounds,
     derived_series,
     full_gram_side,
-    gram_size_limit,
     generated_subalgebra,
     gram_matrix,
     invariant_value,
@@ -23,7 +21,6 @@ from kregular.certify import (
     separation_probe,
 )
 from kregular.errors import (
-    ConfigError,
     DegreeBoundError,
     GramSizeError,
     SoundnessError,
@@ -88,33 +85,24 @@ def test_gram_jobs_deterministic(sl2):
 
 def test_gram_size_limit(sl2, monkeypatch):
     alg, cd = sl2
-    monkeypatch.setenv(GRAM_LIMIT_ENV, "3")
+    monkeypatch.setattr(certify, "GRAM_LIMIT", 3)
     with pytest.raises(GramSizeError):
         gram_matrix(alg, cd, Z_REG, mode="full")
     # reduced mode sidesteps the limit, and raising it admits full mode
     assert gram_matrix(alg, cd, Z_REG, mode="reduced").rank == 3
-    monkeypatch.setenv(GRAM_LIMIT_ENV, str(full_gram_side(3)))
+    monkeypatch.setattr(certify, "GRAM_LIMIT", full_gram_side(3))
     assert gram_matrix(alg, cd, Z_REG, mode="full").rank == 3
 
 
-@pytest.mark.parametrize("raw", ["abc", "-3", "1.5", ""])
-def test_gram_size_limit_rejects_malformed_env(monkeypatch, raw):
-    monkeypatch.setenv(GRAM_LIMIT_ENV, raw)
-    with pytest.raises(ConfigError, match=GRAM_LIMIT_ENV):
-        gram_size_limit()
-
-
-@pytest.mark.parametrize("raw", ["\u0663", " 7", "1_000", "true", "9" * 5000])
-def test_gram_size_limit_follows_the_integer_rule(monkeypatch, raw):
-    monkeypatch.setenv(GRAM_LIMIT_ENV, raw)
-    with pytest.raises(ConfigError, match=GRAM_LIMIT_ENV):
-        gram_size_limit()
-
-
-@pytest.mark.parametrize("raw, limit", [("0", 0), ("+7", 7), ("0012", 12)])
-def test_gram_size_limit_reads_ascii_digit_strings(monkeypatch, raw, limit):
-    monkeypatch.setenv(GRAM_LIMIT_ENV, raw)
-    assert gram_size_limit() == limit
+def test_certificate_mode_is_fixed_by_the_algebra(sl3, monkeypatch):
+    """d(13) fits the limit and d(14) does not, and no environment
+    variable moves that line."""
+    alg, cd = sl3
+    plain = is_k_regular(alg, cd, Z_SL3).to_dict()
+    monkeypatch.setenv("KREGULAR_GRAM_LIMIT", "0")
+    assert is_k_regular(alg, cd, Z_SL3).to_dict() == plain
+    assert plain["mode"] == "full"
+    assert full_gram_side(13) <= certify.GRAM_LIMIT < full_gram_side(14)
 
 
 def test_full_mode_size_check_stops_summing_past_the_limit(sl2, monkeypatch):
@@ -406,7 +394,7 @@ def test_certificates_run_the_filtration_once(case, sl2, sl3, monkeypatch):
     if case == "sl2-full":
         (alg, cd), z, mode = sl2, Z_REG, "full"
     else:
-        monkeypatch.setenv(GRAM_LIMIT_ENV, "0")
+        monkeypatch.setattr(certify, "GRAM_LIMIT", 0)
         (alg, cd), z, mode = sl3, Z_SL3, "reduced"
     fresh = generated_subalgebra(alg, cd, z)
     calls = count_filtrations(monkeypatch)

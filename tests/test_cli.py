@@ -14,7 +14,6 @@ import kregular
 from kregular import io as kio
 from kregular.algebra import LieAlgebra
 from kregular.catalog import catalog_build
-from kregular.certify import GRAM_LIMIT_ENV
 from kregular import cli
 from kregular.cli import main
 from kregular.errors import SoundnessError
@@ -84,19 +83,29 @@ def test_algebra_validate_file_runs_validate_once(runner, tmp_path,
     assert len(calls) == 1
 
 
-def test_algebra_validate_refuses_zero_killing_form(runner, tmp_path):
-    # a valid shape: dim 40, no brackets, identity theta
-    zero, one = [0, 1, 0, 1], [1, 1, 0, 1]
+def _refuses_abelian(runner, tmp_path, dim, dim_k):
+    """A valid shape: dim, no brackets, theta = diag(1^dim_k, -1^rest);
+    `algebra validate -f` refuses it for its zero Killing form."""
+    zero, one, minus = [0, 1, 0, 1], [1, 1, 0, 1], [-1, 1, 0, 1]
     path = tmp_path / "abelian.json"
     path.write_text(json.dumps({
-        "name": "abelian", "dim": 40, "structure": [],
-        "theta": [[one if i == j else zero for j in range(40)]
-                  for i in range(40)]}))
+        "name": "abelian", "dim": dim, "structure": [],
+        "theta": [[(one if i < dim_k else minus) if i == j else zero
+                   for j in range(dim)] for i in range(dim)]}))
     result = runner.invoke(main, ["algebra", "validate", "-f", str(path)])
     assert result.exit_code == 2
     assert json.loads(result.output) == {
         "ok": False, "failed_check": "killing-nondegenerate",
-        "detail": "rank 0 of 40"}
+        "detail": f"rank 0 of {dim}"}
+
+
+def test_algebra_validate_refuses_zero_killing_form(runner, tmp_path):
+    _refuses_abelian(runner, tmp_path, 40, 40)
+
+
+def test_algebra_validate_refuses_dim_80_split_theta(runner, tmp_path):
+    # the theta checks pair all 3160 basis pairs, each with a zero bracket
+    _refuses_abelian(runner, tmp_path, 80, 40)
 
 
 def test_algebra_validate_rejects_corrupt_file(runner, tmp_path):
@@ -327,14 +336,6 @@ def test_verify_csv_and_exit(runner):
     assert len(lines) == 3
 
 
-def test_malformed_gram_limit_is_input_error(runner):
-    result = runner.invoke(main, ["bounds", "-a", "sl2"],
-                           env={GRAM_LIMIT_ENV: "abc"})
-    assert result.exit_code == 2
-    assert GRAM_LIMIT_ENV in result.output
-    assert "Traceback" not in result.output
-
-
 @pytest.mark.parametrize("flag, value", [("--box", "-1"), ("--samples", "-5"),
                                          ("--samples", "0"), ("--jobs", "0")])
 def test_verify_rejects_out_of_range_flags(runner, flag, value):
@@ -371,13 +372,6 @@ def test_undecodable_element_file_is_input_error(runner, tmp_path, content):
     assert str(path) in result.stderr
 
 
-def test_over_long_gram_limit_is_input_error(runner):
-    result = runner.invoke(main, ["bounds", "-a", "sl2"],
-                           env={GRAM_LIMIT_ENV: "9" * 5000})
-    _refused_as_input(result)
-    assert GRAM_LIMIT_ENV in result.stderr
-
-
 def test_huge_declared_dim_is_refused_before_the_algebra_is_built(
         runner, tmp_path, monkeypatch):
     def never(*args, **kwargs):
@@ -404,7 +398,7 @@ def test_gram_degree_past_the_limit_names_the_ways_out(runner, z_regular):
     result = runner.invoke(
         main, ["gram", "-a", "sl2", "-e", z_regular, "--degree", "20000"])
     _refused_as_input(result)
-    for part in ("d(20000)", "1500", GRAM_LIMIT_ENV, "reduced mode"):
+    for part in ("d(20000)", "1500", "degree cap", "reduced mode"):
         assert part in result.stderr
 
 
@@ -502,6 +496,21 @@ def test_package_has_no_assert_statements():
         tree = ast.parse(path.read_text(), str(path))
         lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
         assert not lines, f"{path.name}: assert at lines {lines}"
+
+
+ENVIRONMENT_READERS = {"environ", "environb", "getenv"}
+
+
+def test_package_reads_no_environment_variables():
+    """A certificate depends on its inputs alone."""
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        lines = [n.lineno for n in ast.walk(tree)
+                 if (isinstance(n, ast.Attribute) and n.attr in ENVIRONMENT_READERS
+                     and isinstance(n.value, ast.Name) and n.value.id == "os")
+                 or (isinstance(n, ast.ImportFrom) and n.module == "os"
+                     and {a.name for a in n.names} & ENVIRONMENT_READERS)]
+        assert not lines, f"{path.name}: environment read at lines {lines}"
 
 
 def _unread_imports(tree):

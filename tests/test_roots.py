@@ -1,9 +1,11 @@
 import dataclasses
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kregular import roots
 from kregular.algebra import bracket, decompose
 from kregular.catalog import catalog_build
 from kregular.certify import generated_subalgebra, is_k_regular
@@ -158,8 +160,9 @@ def value_tables(draw):
 @given(value_tables())
 def test_choose_y_matches_scalar_search_on_drawn_tables(tables):
     datum = _value_table_datum(tables)
-    assert _outcome(choose_y, datum, max_half_width=3) \
-        == _outcome(_old_choose_y, datum, max_half_width=3)
+    with patch.object(roots, "MAX_HALF_WIDTH", 3):
+        assert _outcome(choose_y, datum) \
+            == _outcome(_old_choose_y, datum, max_half_width=3)
 
 
 def test_choose_x0_trivial_for_split(sl3):

@@ -3,7 +3,6 @@ import dataclasses
 import pytest
 
 from kregular import certify, roots, verify
-from kregular.certify import GRAM_LIMIT_ENV
 from kregular.catalog import catalog_build
 from kregular.errors import SoundnessError
 from kregular.linalg import MatrixQ
@@ -57,7 +56,7 @@ def test_jobs_do_not_change_report(sl2):
 
 
 def test_suites_reuse_the_certificate_filtration(sl2, su21, monkeypatch):
-    monkeypatch.setenv(GRAM_LIMIT_ENV, "0")  # reduced mode keeps su21 fast
+    monkeypatch.setattr(certify, "GRAM_LIMIT", 0)  # reduced mode keeps su21 fast
     calls = count_filtrations(monkeypatch, verify)
     alg, cd = su21
     report = verify_suite(alg, cd, "regularity", seed=1, samples=3)
@@ -84,7 +83,7 @@ def test_suites_reuse_the_certificate_filtration(sl2, su21, monkeypatch):
 
 def test_appendix_certifies_the_element_once(sl2, su21, su21_datum,
                                              monkeypatch):
-    monkeypatch.setenv(GRAM_LIMIT_ENV, "0")  # reduced mode keeps su21 fast
+    monkeypatch.setattr(certify, "GRAM_LIMIT", 0)  # reduced mode keeps su21 fast
     calls = []
     original = certify.is_k_regular
 
