@@ -12,6 +12,11 @@ from dim g = 14 up.
 A certificate computes g(z) once and carries it as `subalgebra`, which
 reduced mode pairs, the regularity cross-check reads and the verify
 suites reuse.  is_k_regular and nilcone_test share that pipeline.
+
+In both modes the Gram is built over the Gaussian integers (see
+linalg.pairing_matrix) and kept as a MatrixQ of Scalars.  Its rank is
+eliminated only up to dim g: G = V^T B V with V made of dim g-vectors,
+so rank G <= dim g is a theorem about the Gram, not a cut-off.
 """
 
 from __future__ import annotations
@@ -40,11 +45,11 @@ from .linalg import (
     EchelonSpan,
     MatrixQ,
     nilpotency_exponent,
+    pairing_matrix,
     rank_profile,
     reduced_basis,
-    vec_dot,
 )
-from .scalar import ZERO, Scalar
+from .scalar import Scalar
 from .words import LyndonWord, WordEvaluator, lyndon_basis, witt_dimension
 
 # Largest full-mode Gram side: d(13) = 1377 fits and d(14) = 2538 does
@@ -193,23 +198,15 @@ def _full_gram_fits(degree_cap: int) -> bool:
     return True
 
 
-def _gram_of_vectors(alg: LieAlgebra, vectors: list) -> MatrixQ:
-    m = len(vectors)
-    paired = [alg.killing.matvec(v) for v in vectors]
-    flat = [[ZERO] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            flat[i][j] = flat[j][i] = vec_dot(vectors[i], paired[j])
-    return MatrixQ.from_rows(flat)
-
-
 def gram_matrix(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
                 degree_cap: Optional[int] = None, mode: str = "full",
                 jobs: int = 1) -> GramCertificate:
     """Exact symmetric Gram matrix of Killing pairings; verdict unset.
 
     Runs the filtration once, in either mode, and attaches g(z) as
-    cert.subalgebra.  Entries are computed serially; jobs has no effect.
+    cert.subalgebra.  The entries are Killing pairings over the Gaussian
+    integers, and the rank profile stops at dim g independent rows; jobs
+    has no effect.
     """
     n = alg.dim
     cap = n if degree_cap is None else degree_cap
@@ -229,8 +226,10 @@ def gram_matrix(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
         vectors = [ev.value(w) for group in lyndon_basis(cap) for w in group]
     else:
         vectors = report.basis
-    gram = _gram_of_vectors(alg, vectors)
-    rank, rows, cols = rank_profile(gram)
+    gram = pairing_matrix(vectors, alg.killing)
+    # G = V^T B V with V's columns in g, so rank G <= dim g: elimination
+    # stops there (not at dim g(z), which the rank-bound check tests)
+    rank, rows, cols = rank_profile(gram, max_rank=n)
     return GramCertificate(degree_cap=cap, mode=mode, gram=gram,
                            rank=rank, dim_g=n, pivot_rows=rows,
                            pivot_cols=cols, subalgebra=report)
@@ -264,8 +263,9 @@ def is_k_regular(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
 
     A k-regular verdict carries as its witness the first dim g independent
     rows of the Gram and, within them, the first independent columns: a
-    nonsingular minor, principal since the Gram is symmetric.  jobs has
-    no effect.
+    nonsingular minor, principal since the Gram is symmetric.  Finding
+    them ends the elimination, since no Gram has rank above dim g; the
+    rows after them are never reduced.  jobs has no effect.
     """
     _check_jobs(jobs)
     cert = _certify(alg, cd, z)

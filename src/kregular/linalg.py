@@ -1,18 +1,25 @@
-"""Dense exact matrices over Q(i), the one dot product, vec_dot, and the
-one elimination kernel, EchelonSpan.
+"""Dense exact matrices over Q(i), the dot products, and the one
+elimination kernel, EchelonSpan.
 
-Every inner product in the package (matvec, matmul, Killing matrix and
-pairings, Gram entries, root values) is a vec_dot.  Every rank, witness
-minor, reduced basis, nullspace, solve and span-membership test is an
-EchelonSpan pass over the rows in their given order, followed where needed
-by its rref().  The witness of a rank is the first independent rows and,
-within them, the first independent columns.  All of it is exact, so
-rank + nullity is an identity, not an approximation.
+Scalar inner products (matvec, matmul, Killing matrix and pairings, root
+values) are vec_dot.  Killing pairings in bulk, the Gram entries of a
+certificate and the invariance residuals, run over the Gaussian integers
+instead: gaussian_rows clears a vector list by the lcm of its
+denominators, gaussian_dot takes exact (re, im) integer dot products, and
+gaussian_scalar divides an integer result back into a Scalar where a
+caller needs one.  Every rank, witness minor, reduced basis, nullspace,
+solve and span-membership test is an EchelonSpan pass over the rows in
+their given order, followed where needed by its rref().  The witness of a
+rank is the first independent rows and, within them, the first
+independent columns.  All of it is exact, so rank + nullity is an
+identity, not an approximation.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import math
+from fractions import Fraction
+from typing import Iterable, Optional, Sequence
 
 from .scalar import ONE, ZERO, Scalar
 
@@ -57,6 +64,63 @@ def linear_combination(coeffs: Iterable, vectors: Iterable, dim: int) -> Vector:
             for i in range(dim):
                 out[i] = out[i] + c * v[i]
     return tuple(out)
+
+
+def gaussian_rows(vectors: Iterable) -> tuple:
+    """(scale, rows): scale > 0 the lcm of every denominator in vectors,
+    and each vector times scale as a tuple of (re, im) integer pairs."""
+    vectors = [tuple(v) for v in vectors]
+    scale = math.lcm(*{q.denominator for v in vectors for a in v
+                       for q in (a.re, a.im)})
+    return scale, [tuple((a.re.numerator * (scale // a.re.denominator),
+                          a.im.numerator * (scale // a.im.denominator))
+                         for a in v)
+                   for v in vectors]
+
+
+def gaussian_dot(u: Sequence[tuple], v: Sequence[tuple]) -> tuple:
+    """Sum of u_i * v_i over (re, im) integer pairs, without conjugation."""
+    re = im = 0
+    for (a, b), (c, d) in zip(u, v):
+        re += a * c - b * d
+        im += a * d + b * c
+    return re, im
+
+
+def gaussian_scalar(z: tuple, den: int) -> Scalar:
+    """The Scalar (re + im i) / den of an integer pair z and den > 0."""
+    re, im = z
+    if not (re or im):
+        return ZERO
+    if den == 1:
+        return Scalar(re, im)
+    return Scalar(Fraction(re, den), Fraction(im, den))
+
+
+def gaussian_pairing(vectors: Iterable, form: "MatrixQ") -> tuple:
+    """(den, rows, images) with u_a . (form u_b) equal to
+    gaussian_dot(rows[a], images[b]) / den for every pair of vectors: rows
+    are the vectors and images their images under form, both over the
+    Gaussian integers; den > 0."""
+    scale, rows = gaussian_rows(vectors)
+    form_scale, form_rows = gaussian_rows(form.row(i) for i in range(form.rows))
+    images = [tuple(gaussian_dot(f, w) for f in form_rows) for w in rows]
+    return scale * scale * form_scale, rows, images
+
+
+def pairing_matrix(vectors: Sequence, form: "MatrixQ") -> "MatrixQ":
+    """The Gram matrix of u_a . (form u_b) over vectors, computed on and
+    above the diagonal and mirrored below it (symmetric for a symmetric
+    form), with one Scalar per computed entry."""
+    den, rows, images = gaussian_pairing(vectors, form)
+    m = len(rows)
+    flat = [ZERO] * (m * m)
+    for a in range(m):
+        u = rows[a]
+        for b in range(a, m):
+            flat[a * m + b] = flat[b * m + a] = gaussian_scalar(
+                gaussian_dot(u, images[b]), den)
+    return MatrixQ(m, m, flat)
 
 
 class MatrixQ:
@@ -162,13 +226,23 @@ class MatrixQ:
         return f"MatrixQ({self.rows}x{self.cols}: {body})"
 
 
-def rank_profile(m: MatrixQ) -> tuple:
+def rank_profile(m: MatrixQ, max_rank: Optional[int] = None) -> tuple:
     """(rank, pivot_rows, pivot_cols): the first independent rows and,
     within them, the first independent columns (the pivots of their
     echelon form).  They locate a nonsingular rank x rank minor, a
-    principal one when m is symmetric."""
+    principal one when m is symmetric.
+
+    max_rank, when given, must be a proven bound on the rank of m, such as
+    dim g for a Gram V^T B V of dim g-vectors.  Elimination stops once it
+    has found that many independent rows; no later row can be independent,
+    so the profile is the one the full pass returns."""
     span = EchelonSpan(m.cols)
-    rows = [i for i in range(m.rows) if span.add(m.row(i))]
+    rows = []
+    for i in range(m.rows):
+        if len(rows) == max_rank:
+            break
+        if span.add(m.row(i)):
+            rows.append(i)
     return len(rows), rows, [pc for pc, _ in span._reduced]
 
 

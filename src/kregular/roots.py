@@ -9,7 +9,6 @@ runs on the same datum produce identical output.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -26,6 +25,7 @@ from .errors import CatalogError, SoundnessError, ValidationFailure
 from .linalg import (
     EchelonSpan,
     Vector,
+    gaussian_rows,
     linear_combination,
     vec_add,
     vec_dot,
@@ -221,17 +221,6 @@ def zeta_value(datum: RestrictedRootDatum, coeffs: Sequence[Scalar]) -> Scalar:
     return prod
 
 
-def _scaled_value_table(datum: RestrictedRootDatum) -> list:
-    """Root values times the lcm L > 0 of all their denominators, as
-    (re, im) integer pairs, one tuple per root."""
-    parts = [q for r in datum.roots for v in r.values for q in (v.re, v.im)]
-    scale = math.lcm(*(q.denominator for q in parts))
-    return [tuple((v.re.numerator * (scale // v.re.denominator),
-                   v.im.numerator * (scale // v.im.denominator))
-                  for v in r.values)
-            for r in datum.roots]
-
-
 def choose_y(datum: RestrictedRootDatum) -> Vector:
     """First integer combination of the a-basis with all root values
     pairwise distinct and nonzero.
@@ -244,7 +233,8 @@ def choose_y(datum: RestrictedRootDatum) -> Vector:
         raise ValueError("datum has an empty Cartan subspace")
     if not datum.roots:
         return datum.a_basis[0]
-    table = _scaled_value_table(datum)
+    # root values times the lcm of their denominators, over Z[i]
+    table = gaussian_rows(r.values for r in datum.roots)[1]
     for tup in _box_candidates(datum.dim_a, MAX_HALF_WIDTH):
         seen = set()
         for row in table:

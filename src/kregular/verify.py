@@ -35,10 +35,13 @@ from .certify import (
 from .errors import SoundnessError
 from .linalg import (
     MatrixQ,
+    gaussian_dot,
+    gaussian_pairing,
+    gaussian_scalar,
     is_nilpotent_matrix,
     linear_combination,
+    pairing_matrix,
     solve_in_span,
-    vec_dot,
     vec_is_zero,
     vec_scale,
 )
@@ -222,16 +225,23 @@ def _suite_invariance(alg, cd, rng, samples, box, datum) -> list:
             for w, dv in zip(words, duals):
                 expected = bracket(alg, u, dv.value)
                 equivariance.check(dv.deriv == expected, f"word {w}")
-            # B(u, v) = u . (K v): apply the Killing matrix K once per vector
-            images = [(alg.killing.matvec(dv.value),
-                       alg.killing.matvec(dv.deriv)) for dv in duals]
+            # B(v, w) = v . (K w) over the Gaussian integers: values and
+            # derivatives share one denominator, so with left_a = (v_a, d_a)
+            # and right_b = (K d_b, K v_b) the residual
+            # B(v_a, d_b) + B(d_a, v_b) is one integer dot product
+            den, rows, images = gaussian_pairing(
+                (v for dv in duals for v in (dv.value, dv.deriv)),
+                alg.killing)
+            left = [rows[2 * a] + rows[2 * a + 1] for a in range(len(words))]
+            right = [images[2 * b + 1] + images[2 * b]
+                     for b in range(len(words))]
             for a in range(len(words)):
-                da = duals[a]
                 for b in range(a, len(words)):
-                    b_value, b_deriv = images[b]
-                    res = vec_dot(da.value, b_deriv) + vec_dot(da.deriv, b_value)
-                    residual.check(not res,
-                                   f"pair ({words[a]},{words[b]}), residual {res}")
+                    res = gaussian_dot(left[a], right[b])
+                    ok = res == (0, 0)
+                    residual.check(ok, "" if ok else (
+                        f"pair ({words[a]},{words[b]}), "
+                        f"residual {gaussian_scalar(res, den)}"))
     return [residual, equivariance]
 
 
@@ -361,9 +371,7 @@ def _suite_appendix(alg, cd, rng, samples, box, datum) -> list:
     zeta.check(coeffs is not None and bool(zeta_value(datum, coeffs)),
                "zeta vanishes at the chosen y")
 
-    a_gram = MatrixQ.from_rows([[killing_pair(alg, hi, hj)
-                                 for hj in datum.a_basis]
-                                for hi in datum.a_basis])
+    a_gram = pairing_matrix(datum.a_basis, alg.killing)
     for i in datum.positive:
         root = datum.roots[i]
         h_nu = _killing_dual_in_a(alg, datum, a_gram, root)
@@ -455,7 +463,11 @@ def verify_suite(alg: LieAlgebra, cd: CartanDecomposition, suite: str,
                  seed: int = 0, samples: int = 100, jobs: int = 1,
                  box: int = DEFAULT_BOX,
                  datum: Optional[RestrictedRootDatum] = None) -> VerifyReport:
-    """Run one named suite (or 'all') and return its report."""
+    """Run one named suite (or 'all') and return its report.
+
+    An exception a suite lets escape becomes one failed record,
+    '<suite>-runs', naming the exception type; the next suite still runs.
+    """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; known: {SUITES}")
     if samples < 0:
@@ -471,7 +483,18 @@ def verify_suite(alg: LieAlgebra, cd: CartanDecomposition, suite: str,
     records = []
     for name in names:
         rng = random.Random(seed)
-        records.extend(_SUITE_FUNCS[name](alg, cd, rng, samples, box, datum))
+        try:
+            records.extend(
+                _SUITE_FUNCS[name](alg, cd, rng, samples, box, datum))
+        except Exception as exc:
+            # a fault the suite did not anticipate is a failed property,
+            # not a crash of the whole report
+            crashed = PropertyRecord(
+                f"{name}-runs",
+                f"the {name} suite runs to the end without an unexpected "
+                "exception")
+            crashed.check(False, f"{type(exc).__name__}: {exc}")
+            records.append(crashed)
     report = VerifyReport(suite=suite, algebra=alg.name, seed=seed,
                           samples=samples, records=records)
     report.wall_time_s = time.monotonic() - start

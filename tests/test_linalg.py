@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from kregular.algebra import ad_matrix
 from kregular.catalog import catalog_build
-from kregular.certify import _gram_of_vectors
 from kregular.linalg import (
     EchelonSpan,
     MatrixQ,
@@ -15,6 +14,7 @@ from kregular.linalg import (
     linear_combination,
     nilpotency_exponent,
     nullspace_of,
+    pairing_matrix,
     rank_of,
     rank_profile,
     reduced_basis,
@@ -618,7 +618,8 @@ def test_matvec_and_matmul_match_old_loops(m, data):
 def test_gram_of_vectors_matches_old_loop(sl2, sl3, data):
     alg, _ = data.draw(st.sampled_from((sl2, sl3)))
     vectors = data.draw(_vectors(alg.dim, data.draw(st.integers(0, 5))))
-    assert _gram_of_vectors(alg, vectors) == _old_gram_of_vectors(alg, vectors)
+    assert pairing_matrix(vectors, alg.killing) \
+        == _old_gram_of_vectors(alg, vectors)
 
 
 @settings(max_examples=100, deadline=None)

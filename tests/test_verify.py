@@ -1,9 +1,12 @@
 import dataclasses
+import json
 
 import pytest
+from click.testing import CliRunner
 
 from kregular import certify, roots, verify
 from kregular.catalog import catalog_build
+from kregular.cli import main
 from kregular.errors import SoundnessError
 from kregular.linalg import MatrixQ
 from kregular.algebra import LieAlgebra
@@ -195,6 +198,40 @@ def test_soundness_error_is_a_recorded_failure(sl2, monkeypatch):
     appendix = verify_suite(alg, cd, "appendix", seed=0, samples=1)
     assert [(r.name, r.first_counterexample) for r in appendix.records] \
         == [("construct-certified", "injected")]
+
+
+def test_unexpected_exception_is_a_recorded_failure(sl2, monkeypatch):
+    alg, cd = sl2
+    clean = verify_suite(alg, cd, "all", seed=0, samples=1)
+
+    def broken(*args):
+        raise ValueError("injected")
+
+    monkeypatch.setitem(verify._SUITE_FUNCS, "invariance", broken)
+    report = verify_suite(alg, cd, "all", seed=0, samples=1)
+    crashed = [r for r in report.records if r.failures]
+    assert [r.to_dict() for r in crashed] == [{
+        "name": "invariance-runs",
+        "statement": "the invariance suite runs to the end without an "
+                     "unexpected exception",
+        "checks_run": 1,
+        "failures": 1,
+        "first_counterexample": "ValueError: injected",
+    }]
+    # every other suite of all still runs, with the records it gives alone
+    others = [r.to_dict() for r in clean.records
+              if r.name not in ("residual-zero", "equivariance")]
+    assert [r.to_dict() for r in report.records if not r.failures] == others
+    assert report.failures == 1 and not report.ok
+
+    result = CliRunner().invoke(main, ["verify", "-a", "sl2", "--suite",
+                                       "invariance", "--samples", "1"])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception,
+                                                  SystemExit)
+    doc = json.loads(result.output)
+    assert doc["failures"] == 1
+    assert doc["records"][0]["first_counterexample"] == "ValueError: injected"
 
 
 def test_sample_element_is_seed_determined(sl2):
