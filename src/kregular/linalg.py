@@ -1,13 +1,13 @@
 """Dense exact matrices over Q(i), the dot products, and the one
 elimination kernel, EchelonSpan.
 
-Scalar inner products (matvec, matmul, Killing matrix and pairings, root
-values) are vec_dot.  Killing pairings in bulk, the Gram entries of a
-certificate and the invariance residuals, run over the Gaussian integers
-instead: gaussian_rows clears a vector list by the lcm of its
-denominators, gaussian_dot takes exact (re, im) integer dot products, and
-gaussian_scalar divides an integer result back into a Scalar where a
-caller needs one.  Every rank, witness minor, reduced basis, nullspace,
+Single inner products (matvec, matmul, the Killing matrix, killing_pair,
+root values) are vec_dot over Scalars.  Pairings in bulk (certificate
+Grams, the appendix suite's a-basis Gram, the invariance residuals) run
+over the Gaussian integers instead: gaussian_rows clears a vector list by
+the lcm of its denominators, gaussian_dot takes exact (re, im) integer dot
+products, and gaussian_scalar divides an integer result back into a
+Scalar where a caller needs one.  Every rank, witness minor, reduced basis, nullspace,
 solve and span-membership test is an EchelonSpan pass over the rows in
 their given order, followed where needed by its rref().  The witness of a
 rank is the first independent rows and, within them, the first
