@@ -28,6 +28,8 @@ if TYPE_CHECKING:
 # sparse bracket value: tuple of (basis_index, coefficient)
 SparseVec = tuple
 
+_HALF = ONE / 2
+
 
 def _sparsify(coeffs: Sequence[Scalar]) -> SparseVec:
     return tuple((k, c) for k, c in enumerate(coeffs) if c)
@@ -158,19 +160,15 @@ def killing_pair(alg: LieAlgebra, u: Sequence[Scalar], v: Sequence[Scalar]) -> S
 
 
 class CartanDecomposition:
-    """The involution theta with its eigenspaces k (+1) and p (-1)."""
+    """The involution theta and bases of its eigenspaces k (+1), p (-1)."""
 
-    __slots__ = ("theta", "k_basis", "p_basis", "proj_k", "proj_p")
+    __slots__ = ("theta", "k_basis", "p_basis")
 
     def __init__(self, theta: MatrixQ):
-        n = theta.rows
-        if theta.cols != n:
+        if theta.cols != theta.rows:
             raise ValueError("theta must be square")
         self.theta = theta
-        ident = MatrixQ.identity(n)
-        half = Scalar(1) / Scalar(2)
-        self.proj_k = ident.add(theta).scale(half)
-        self.proj_p = ident.sub(theta).scale(half)
+        ident = MatrixQ.identity(theta.rows)
         self.k_basis = tuple(nullspace_of(theta.sub(ident)))
         self.p_basis = tuple(nullspace_of(theta.add(ident)))
 
@@ -199,11 +197,11 @@ class ElementZ:
 
 
 def decompose(cd: CartanDecomposition, z: Sequence[Scalar]) -> ElementZ:
-    """Split z into its k- and p-parts via the projections (1 +/- theta)/2."""
+    """Split z into its k-part x = (z + theta z)/2 and its p-part
+    y = z - x, from one theta matvec."""
     z = tuple(z)
-    x = cd.proj_k.matvec(z)
-    y = cd.proj_p.matvec(z)
-    return ElementZ(z=z, x=x, y=y)
+    x = tuple((a + b) * _HALF for a, b in zip(z, cd.theta.matvec(z)))
+    return ElementZ(z=z, x=x, y=tuple(a - b for a, b in zip(z, x)))
 
 
 @dataclass(frozen=True)

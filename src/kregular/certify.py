@@ -25,6 +25,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -199,14 +200,13 @@ def _full_gram_fits(degree_cap: int) -> bool:
 
 
 def gram_matrix(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
-                degree_cap: Optional[int] = None, mode: str = "full",
-                jobs: int = 1) -> GramCertificate:
+                degree_cap: Optional[int] = None,
+                mode: str = "full") -> GramCertificate:
     """Exact symmetric Gram matrix of Killing pairings; verdict unset.
 
     Runs the filtration once, in either mode, and attaches g(z) as
     cert.subalgebra.  The entries are Killing pairings over the Gaussian
-    integers, and the rank profile stops at dim g independent rows; jobs
-    has no effect.
+    integers, and the rank profile stops at dim g independent rows.
     """
     n = alg.dim
     cap = n if degree_cap is None else degree_cap
@@ -214,7 +214,6 @@ def gram_matrix(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
         raise ValueError("degree cap must be >= 1")
     if mode not in ("full", "reduced"):
         raise ValueError(f"unknown gram mode {mode!r}")
-    _check_jobs(jobs)
     if mode == "full" and not _full_gram_fits(cap):
         raise GramSizeError(
             f"full Gram side d({cap}) exceeds limit {GRAM_LIMIT}; "
@@ -372,15 +371,20 @@ def lie_derivative_residual(alg: LieAlgebra, cd: CartanDecomposition,
     return killing_pair(alg, a.value, b.deriv) + killing_pair(alg, a.deriv, b.value)
 
 
+def _power_traces(alg: LieAlgebra, z: Sequence[Scalar]):
+    """tr((ad z)^m) for m = 1, ..., 2 dim g, from one running product."""
+    p = a = ad_matrix(alg, z)
+    yield p.trace()
+    for _ in range(2 * alg.dim - 1):
+        p = p.matmul(a)
+        yield p.trace()
+
+
 def power_trace(alg: LieAlgebra, z: Sequence[Scalar], m: int) -> Scalar:
     """tr((ad z)^m), exact."""
     if not 1 <= m <= 2 * alg.dim:
         raise ValueError(f"power {m} outside [1, {2 * alg.dim}]")
-    a = ad_matrix(alg, z)
-    p = a
-    for _ in range(m - 1):
-        p = p.matmul(a)
-    return p.trace()
+    return next(islice(_power_traces(alg, z), m - 1, None))
 
 
 @dataclass(frozen=True)
@@ -439,9 +443,8 @@ def separation_probe(alg: LieAlgebra, cd: CartanDecomposition,
                     "t": str(wa), "t_prime": str(wb),
                     "value": str(lhs), "value_prime": str(rhs),
                 })
-    for m in range(1, two_n + 1):
-        lhs = power_trace(alg, z, m)
-        rhs = power_trace(alg, z_prime, m)
+    traces = zip(_power_traces(alg, z), _power_traces(alg, z_prime))
+    for m, (lhs, rhs) in enumerate(traces, 1):
         if lhs != rhs:
             return Separator("power-trace", {
                 "power": m, "value": str(lhs), "value_prime": str(rhs),

@@ -2,17 +2,17 @@
 elimination kernel, EchelonSpan.
 
 Single inner products (matvec, matmul, the Killing matrix, killing_pair,
-root values) are vec_dot over Scalars.  Pairings in bulk (certificate
-Grams, the appendix suite's a-basis Gram, the invariance residuals) run
-over the Gaussian integers instead: gaussian_rows clears a vector list by
-the lcm of its denominators, gaussian_dot takes exact (re, im) integer dot
-products, and gaussian_scalar divides an integer result back into a
-Scalar where a caller needs one.  Every rank, witness minor, reduced basis, nullspace,
-solve and span-membership test is an EchelonSpan pass over the rows in
-their given order, followed where needed by its rref().  The witness of a
-rank is the first independent rows and, within them, the first
-independent columns.  All of it is exact, so rank + nullity is an
-identity, not an approximation.
+root values) are vec_dot over Scalars.  pairing_matrix is the only bulk
+pairing (certificate Grams, the appendix a-basis Gram, the invariance
+residuals), run over the Gaussian integers: gaussian_rows clears a vector
+list by the lcm of its denominators, gaussian_dot takes exact (re, im)
+integer dot products, and gaussian_scalar divides each back into a Scalar.
+Every rank, witness minor, reduced basis, nullspace, solve and
+span-membership test is an EchelonSpan pass over the rows in their given
+order, followed where needed by its rref().  The witness of a rank is the
+first independent rows and, within them, the first independent columns.
+All of it is exact, so rank + nullity is an identity, not an
+approximation.
 """
 
 from __future__ import annotations
@@ -97,22 +97,14 @@ def gaussian_scalar(z: tuple, den: int) -> Scalar:
     return Scalar(Fraction(re, den), Fraction(im, den))
 
 
-def gaussian_pairing(vectors: Iterable, form: "MatrixQ") -> tuple:
-    """(den, rows, images) with u_a . (form u_b) equal to
-    gaussian_dot(rows[a], images[b]) / den for every pair of vectors: rows
-    are the vectors and images their images under form, both over the
-    Gaussian integers; den > 0."""
-    scale, rows = gaussian_rows(vectors)
-    form_scale, form_rows = gaussian_rows(form.row(i) for i in range(form.rows))
-    images = [tuple(gaussian_dot(f, w) for f in form_rows) for w in rows]
-    return scale * scale * form_scale, rows, images
-
-
 def pairing_matrix(vectors: Sequence, form: "MatrixQ") -> "MatrixQ":
     """The Gram matrix of u_a . (form u_b) over vectors, computed on and
     above the diagonal and mirrored below it (symmetric for a symmetric
     form), with one Scalar per computed entry."""
-    den, rows, images = gaussian_pairing(vectors, form)
+    scale, rows = gaussian_rows(vectors)
+    form_scale, form_rows = gaussian_rows(form.row(i) for i in range(form.rows))
+    images = [tuple(gaussian_dot(f, w) for f in form_rows) for w in rows]
+    den = scale * scale * form_scale
     m = len(rows)
     flat = [ZERO] * (m * m)
     for a in range(m):
@@ -193,9 +185,6 @@ class MatrixQ:
             raise ValueError("shape mismatch")
         return MatrixQ(self.rows, self.cols,
                        tuple(a - b for a, b in zip(self.entries, other.entries)))
-
-    def scale(self, c: Scalar) -> "MatrixQ":
-        return MatrixQ(self.rows, self.cols, tuple(c * a for a in self.entries))
 
     def trace(self) -> Scalar:
         if self.rows != self.cols:

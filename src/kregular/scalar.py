@@ -92,9 +92,6 @@ class Scalar:
     def __neg__(self) -> "Scalar":
         return Scalar(-self.re, -self.im)
 
-    def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             return self.im == 0 and self.re == other
@@ -107,10 +104,6 @@ class Scalar:
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self
 
     def __str__(self) -> str:
         if self.im == 0:

@@ -24,20 +24,17 @@ from .algebra import (
 )
 from .certify import (
     VERDICT_NIL,
+    _power_traces,
     centralizer_in_k,
     degree_bounds,
     derived_series,
     generated_subalgebra,
     is_k_regular,
     nilcone_test,
-    power_trace,
 )
 from .errors import SoundnessError
 from .linalg import (
     MatrixQ,
-    gaussian_dot,
-    gaussian_pairing,
-    gaussian_scalar,
     is_nilpotent_matrix,
     linear_combination,
     pairing_matrix,
@@ -202,6 +199,16 @@ def _suite_regularity(alg, cd, rng, samples, box, datum) -> list:
     return [agreement, rank_bound]
 
 
+def _residuals(values, derivs, form):
+    """((a, b), B(v_a, d_b) + B(d_a, v_b)) for a <= b, with B(u, w) =
+    u . (form w), read from one Gram over the values then the derivatives:
+    for a symmetric form, B(d_a, v_b) = B(v_b, d_a) = gram[b, k + a]."""
+    k = len(values)
+    gram = pairing_matrix(values + derivs, form)
+    return (((a, b), gram[a, k + b] + gram[b, k + a])
+            for a in range(k) for b in range(a, k))
+
+
 def _suite_invariance(alg, cd, rng, samples, box, datum) -> list:
     residual = PropertyRecord(
         "residual-zero",
@@ -225,23 +232,11 @@ def _suite_invariance(alg, cd, rng, samples, box, datum) -> list:
             for w, dv in zip(words, duals):
                 expected = bracket(alg, u, dv.value)
                 equivariance.check(dv.deriv == expected, f"word {w}")
-            # B(v, w) = v . (K w) over the Gaussian integers: values and
-            # derivatives share one denominator, so with left_a = (v_a, d_a)
-            # and right_b = (K d_b, K v_b) the residual
-            # B(v_a, d_b) + B(d_a, v_b) is one integer dot product
-            den, rows, images = gaussian_pairing(
-                (v for dv in duals for v in (dv.value, dv.deriv)),
-                alg.killing)
-            left = [rows[2 * a] + rows[2 * a + 1] for a in range(len(words))]
-            right = [images[2 * b + 1] + images[2 * b]
-                     for b in range(len(words))]
-            for a in range(len(words)):
-                for b in range(a, len(words)):
-                    res = gaussian_dot(left[a], right[b])
-                    ok = res == (0, 0)
-                    residual.check(ok, "" if ok else (
-                        f"pair ({words[a]},{words[b]}), "
-                        f"residual {gaussian_scalar(res, den)}"))
+            for (a, b), res in _residuals([dv.value for dv in duals],
+                                          [dv.deriv for dv in duals],
+                                          alg.killing):
+                residual.check(not res, "" if not res else (
+                    f"pair ({words[a]},{words[b]}), residual {res}"))
     return [residual, equivariance]
 
 
@@ -299,8 +294,8 @@ def _suite_nilcone(alg, cd, rng, samples, box, datum) -> list:
             oracle.check(via_gram == via_hand,
                          f"gram route {via_gram}, hand oracle {via_hand}")
         if via_gram:
-            for m in range(1, 2 * alg.dim + 1):
-                traces.check(not power_trace(alg, z, m), f"power {m}")
+            for m, trace in enumerate(_power_traces(alg, z), 1):
+                traces.check(not trace, f"power {m}")
     records = [cartan, traces]
     if is_sl2:
         records.insert(1, oracle)
@@ -380,7 +375,7 @@ def _suite_appendix(alg, cd, rng, samples, box, datum) -> list:
             continue
         for e in root.space:
             theta_e = cd.theta.matvec(e)
-            w = cd.proj_p.matvec(bracket(alg, e, theta_e))
+            w = decompose(cd, bracket(alg, e, theta_e)).y
             c = killing_pair(alg, e, theta_e)
             expected = vec_scale(c, h_nu)
             dual_pair.check(w == expected,

@@ -75,14 +75,6 @@ def test_gram_reduced_equals_full_rank(sl3):
     assert reduced.gram.rows == generated_subalgebra(alg, cd, Z_SL3).dim
 
 
-def test_gram_jobs_deterministic(sl2):
-    alg, cd = sl2
-    a = gram_matrix(alg, cd, Z_REG, jobs=1)
-    b = gram_matrix(alg, cd, Z_REG, jobs=4)
-    assert a.gram == b.gram
-    assert a.gram_hash() == b.gram_hash()
-
-
 def test_gram_size_limit(sl2, monkeypatch):
     alg, cd = sl2
     monkeypatch.setattr(certify, "GRAM_LIMIT", 3)
@@ -126,8 +118,6 @@ def test_gram_rejects_bad_args(sl2):
         gram_matrix(alg, cd, Z_REG, degree_cap=0)
     with pytest.raises(ValueError):
         gram_matrix(alg, cd, Z_REG, mode="fast")
-    with pytest.raises(ValueError, match="jobs"):
-        gram_matrix(alg, cd, Z_REG, jobs=0)
 
 
 def test_is_k_regular_verdicts(sl2):
@@ -244,6 +234,33 @@ def test_separation_probe(sl2):
     assert sep.detail == {"t": "X", "t_prime": "X",
                           "value": "-8", "value_prime": "-32"}
     assert separation_probe(alg, cd, z1, z1) is None
+
+
+def test_separation_probe_falls_back_to_power_traces(sl3):
+    # B(x,x), B(x,y) and B(y,y) agree (-3, 0, 39), and so do the traces
+    # of (ad z)^m up to m = 5; tr((ad z)^6) does not
+    alg, cd = sl3
+    z1 = vec(8, e0=-1, e1=1, e2=-1)
+    z2 = vec(8, e0=-1, e2=1, e4=2)
+    sep = separation_probe(alg, cd, z1, z2, degree_cap=1)
+    assert sep.to_dict() == {"kind": "power-trace", "power": 6,
+                             "value": "2916", "value_prime": "3564"}
+    assert [power_trace(alg, z, 6) for z in (z1, z2)] == [2916, 3564]
+
+
+def test_power_traces_come_from_one_running_product(sl3, monkeypatch):
+    # 2 dim g - 1 = 15 products per element, not sum(m - 1) = 120
+    alg, cd = sl3
+    calls = []
+    matmul = MatrixQ.matmul
+
+    def counting(self, other):
+        calls.append(other)
+        return matmul(self, other)
+
+    monkeypatch.setattr(MatrixQ, "matmul", counting)
+    assert separation_probe(alg, cd, Z_SL3, Z_SL3, degree_cap=2) is None
+    assert len(calls) == 30
 
 
 def test_full_gram_side():

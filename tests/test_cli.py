@@ -542,6 +542,45 @@ def test_package_modules_read_every_name_they_import():
             assert not _unread_imports(tree), path.name
 
 
+def _unreferenced_public_functions(trees, module):
+    """Qualified names of the public functions and methods defined in
+    trees[module] that no tree reads outside the function's own
+    definition: a function as a name or an attribute, a method as an
+    attribute only, so a local variable of the same name does not count."""
+    names, attrs = {}, {}
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                names.setdefault(n.id, []).append(id(n))
+            elif isinstance(n, ast.Attribute):
+                attrs.setdefault(n.attr, []).append(id(n))
+    body = trees[module].body
+    defs = [("", n) for n in body]
+    defs += [(c.name + ".", n) for c in body if isinstance(c, ast.ClassDef)
+             for n in c.body]
+    unread = []
+    for prefix, d in defs:
+        if isinstance(d, ast.FunctionDef) and not d.name.startswith("_"):
+            reads = attrs.get(d.name, []) + (
+                [] if prefix else names.get(d.name, []))
+            inside = {id(n) for n in ast.walk(d)}
+            if all(r in inside for r in reads):
+                unread.append(prefix + d.name)
+    return unread
+
+
+def test_kernel_modules_define_no_unused_public_function():
+    """Every public function or method of linalg.py and scalar.py is read
+    somewhere in the package, the benchmark or the demos."""
+    repo = PACKAGE_DIR.parent.parent
+    paths = [*PACKAGE_DIR.glob("*.py"), *(repo / "bench").glob("*.py"),
+             *(repo / "demos").glob("*.py")]
+    trees = {p: ast.parse(p.read_text(), str(p)) for p in paths}
+    for module in ("linalg.py", "scalar.py"):
+        unread = _unreferenced_public_functions(trees, PACKAGE_DIR / module)
+        assert not unread, f"{module}: {unread}"
+
+
 def test_unread_import_scan_flags_only_unread_names():
     tree = ast.parse(
         "from __future__ import annotations\n"

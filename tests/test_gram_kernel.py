@@ -1,9 +1,11 @@
-"""Differential tests of the Gaussian-integer Killing pairings and of the
-rank profile stopped at a proven bound.
+"""Differential tests of the Gaussian-integer Killing pairings, of the
+rank profile stopped at a proven bound, and of the k/p split.
 
-The reference is an in-file copy of the Scalar Gram build the kernel
-replaced: each vector paired with the Killing matrix applied to the other
-through vec_dot, entry by entry, on and above the diagonal.
+The references are in-file copies of the code each kernel replaced: the
+Scalar Gram build (each vector paired with the Killing matrix applied to
+the other through vec_dot, entry by entry, on and above the diagonal),
+the invariance residuals as one integer dot product each, and decompose
+through the projections (1 +/- theta)/2.
 """
 
 import random
@@ -12,13 +14,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kregular import certify, linalg
-from kregular.algebra import LieAlgebra, killing_pair
+from kregular import certify, linalg, verify
+from kregular.algebra import (
+    CartanDecomposition,
+    LieAlgebra,
+    decompose,
+    killing_pair,
+    validate,
+)
 from kregular.catalog import catalog_build
 from kregular.linalg import (
     MatrixQ,
     gaussian_dot,
-    gaussian_pairing,
     gaussian_rows,
     gaussian_scalar,
     pairing_matrix,
@@ -50,9 +57,20 @@ def _rescaled(alg, scales):
     return LieAlgebra.from_lower_table(alg.name + "-rescaled", alg.dim, lower)
 
 
-SL2, _ = catalog_build("split-sl", 2)
-SL3, _ = catalog_build("split-sl", 3)
-SL3_RESCALED = _rescaled(SL3, [Fraction(k + 1, 2 + k % 3) for k in range(8)])
+def _rescaled_theta(cd, scales):
+    """theta in the basis s_i b_i: S^-1 theta S, S = diag(scales)."""
+    n = cd.theta.rows
+    return CartanDecomposition(MatrixQ.from_rows(
+        [[Scalar(Fraction(scales[j]) / scales[i]) * cd.theta[i, j]
+          for j in range(n)] for i in range(n)]))
+
+
+SCALES = [Fraction(k + 1, 2 + k % 3) for k in range(8)]
+SL2, SL2_CD = catalog_build("split-sl", 2)
+SL3, SL3_CD = catalog_build("split-sl", 3)
+SL4, SL4_CD = catalog_build("split-sl", 4)
+SL3_RESCALED = _rescaled(SL3, SCALES)
+SL3_RESCALED_CD = _rescaled_theta(SL3_CD, SCALES)
 
 gaussian_integers = st.builds(Scalar, st.integers(-9, 9), st.integers(-9, 9))
 # like the benchmark's wide class: 20-bit Gaussian integers and Gaussian
@@ -105,17 +123,75 @@ def test_gram_of_no_vectors_and_of_zero_vectors(alg):
              max_size=n),
     _vector_lists(n))))
 def test_pairing_matches_vec_dot_for_any_form(case):
-    # the invariance residual pairs through a form that need not be
-    # symmetric, so every ordered pair is checked, not only a <= b
+    # for a form that is not symmetric only the computed entries, on and
+    # above the diagonal, are u_a . (F u_b); those below mirror them
     form_rows, vectors = case
     form = MatrixQ.from_rows(form_rows)
-    den, rows, images = gaussian_pairing(vectors, form)
-    assert den > 0
+    gram = pairing_matrix(vectors, form)
     for a, u in enumerate(vectors):
-        for b, v in enumerate(vectors):
-            expected = vec_dot(u, form.matvec(v))
-            assert gaussian_scalar(gaussian_dot(rows[a], images[b]), den) \
-                == expected
+        for b in range(a, len(vectors)):
+            assert gram[a, b] == vec_dot(u, form.matvec(vectors[b]))
+            assert gram[b, a] == gram[a, b]
+
+
+def _old_residuals(values, derivs, form):
+    """The invariance residuals as one integer dot product each, as the
+    suite took them before they were read from one Gram: values and
+    derivatives cleared together, left_a = (v_a, d_a) and
+    right_b = (F d_b, F v_b)."""
+    scale, rows = gaussian_rows(v for pair in zip(values, derivs)
+                                for v in pair)
+    form_scale, form_rows = gaussian_rows(form.row(i)
+                                          for i in range(form.rows))
+    images = [tuple(gaussian_dot(f, w) for f in form_rows) for w in rows]
+    den = scale * scale * form_scale
+    k = len(values)
+    left = [rows[2 * a] + rows[2 * a + 1] for a in range(k)]
+    right = [images[2 * b + 1] + images[2 * b] for b in range(k)]
+    return [((a, b), gaussian_scalar(gaussian_dot(left[a], right[b]), den))
+            for a in range(k) for b in range(a, k)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_residuals_match_one_integer_dot_product_each(data):
+    n = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(0, 6))
+    vector = st.lists(gaussian_rationals, min_size=n, max_size=n).map(tuple)
+    values = data.draw(st.lists(vector, min_size=k, max_size=k))
+    derivs = data.draw(st.lists(vector, min_size=k, max_size=k))
+    form = MatrixQ.identity(n)
+    assert list(verify._residuals(values, derivs, form)) \
+        == _old_residuals(values, derivs, form)
+
+
+def _projection_split(cd, z):
+    """(x, y) as decompose took them before: the projections
+    (1 + theta)/2 and (1 - theta)/2 applied to z."""
+    n = cd.theta.rows
+    ident = MatrixQ.identity(n)
+    half = Scalar(Fraction(1, 2))
+    proj_k = MatrixQ(n, n, [half * a for a in ident.add(cd.theta).entries])
+    proj_p = MatrixQ(n, n, [half * a for a in ident.sub(cd.theta).entries])
+    return proj_k.matvec(z), proj_p.matvec(z)
+
+
+def test_rescaled_theta_is_not_integral():
+    assert any(q.denominator > 1 for e in SL3_RESCALED_CD.theta.entries
+               for q in (e.re, e.im))
+    assert validate(SL3_RESCALED, SL3_RESCALED_CD).ok
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_decompose_matches_projection_split(su21, data):
+    alg, cd = data.draw(st.sampled_from((
+        (SL2, SL2_CD), (SL3, SL3_CD), (SL4, SL4_CD), su21,
+        (SL3_RESCALED, SL3_RESCALED_CD))))
+    z = data.draw(st.lists(entries, min_size=alg.dim, max_size=alg.dim))
+    ez = decompose(cd, z)
+    assert ez.z == tuple(z)
+    assert (ez.x, ez.y) == _projection_split(cd, z)
 
 
 @settings(max_examples=80, deadline=None)

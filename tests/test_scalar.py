@@ -88,12 +88,6 @@ def test_division_and_inverse():
         ZERO.inverse()
 
 
-def test_conjugate():
-    s = Scalar(2, 3)
-    assert s.conjugate() == Scalar(2, -3)
-    assert s * s.conjugate() == Scalar(13)
-
-
 @given(scalars(), scalars(), scalars())
 def test_field_axioms(a, b, c):
     assert a + b == b + a
