@@ -26,7 +26,6 @@ from .words import (
     LyndonWord,
     WordEvaluator,
     evaluate_word,
-    evaluate_word_dual,
     is_lyndon,
     lyndon_basis,
     lyndon_words_of_degree,
@@ -39,13 +38,9 @@ from .certify import (
     centralizer_in_k,
     degree_bounds,
     derived_series,
-    full_gram_side,
     generated_subalgebra,
     gram_matrix,
-    invariant_value,
     is_k_regular,
-    is_solvable,
-    lie_derivative_residual,
     nilcone_test,
     power_trace,
     separation_probe,
@@ -64,7 +59,6 @@ from .roots import (
 from .verify import SUITES, VerifyReport, verify_suite
 from .errors import (
     CatalogError,
-    DegreeBoundError,
     GramSizeError,
     InputError,
     KregularError,
@@ -81,17 +75,15 @@ __all__ = [
     "CartanDecomposition", "ElementZ", "LieAlgebra", "ValidationReport",
     "bracket", "ad_matrix", "killing_pair", "decompose", "validate",
     "catalog_build", "parse_algebra_name",
-    "LyndonWord", "WordEvaluator", "evaluate_word", "evaluate_word_dual",
-    "is_lyndon", "lyndon_basis", "lyndon_words_of_degree", "witt_dimension",
+    "LyndonWord", "WordEvaluator", "evaluate_word", "is_lyndon",
+    "lyndon_basis", "lyndon_words_of_degree", "witt_dimension",
     "DegreeBounds", "GramCertificate", "SubalgebraReport",
-    "centralizer_in_k", "degree_bounds", "derived_series", "full_gram_side",
-    "generated_subalgebra", "gram_matrix", "invariant_value", "is_k_regular",
-    "is_solvable", "lie_derivative_residual", "nilcone_test", "power_trace",
-    "separation_probe",
+    "centralizer_in_k", "degree_bounds", "derived_series",
+    "generated_subalgebra", "gram_matrix", "is_k_regular", "nilcone_test",
+    "power_trace", "separation_probe",
     "RestrictedRoot", "RestrictedRootDatum", "build_regular", "catalog_datum",
     "choose_x0", "choose_y", "construct_regular", "validate_datum", "zeta_value",
     "SUITES", "VerifyReport", "verify_suite",
-    "CatalogError", "DegreeBoundError", "GramSizeError",
-    "InputError", "KregularError", "SchemaError", "SoundnessError",
-    "ValidationFailure", "__version__",
+    "CatalogError", "GramSizeError", "InputError", "KregularError",
+    "SchemaError", "SoundnessError", "ValidationFailure", "__version__",
 ]

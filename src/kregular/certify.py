@@ -35,13 +35,8 @@ from .algebra import (
     bracket,
     centralizer,
     decompose,
-    killing_pair,
 )
-from .errors import (
-    DegreeBoundError,
-    GramSizeError,
-    SoundnessError,
-)
+from .errors import GramSizeError, SoundnessError
 from .linalg import (
     EchelonSpan,
     MatrixQ,
@@ -49,9 +44,10 @@ from .linalg import (
     pairing_matrix,
     rank_profile,
     reduced_basis,
+    vec_dot,
 )
 from .scalar import Scalar
-from .words import LyndonWord, WordEvaluator, lyndon_basis, witt_dimension
+from .words import WordEvaluator, lyndon_basis, witt_dimension
 
 # Largest full-mode Gram side: d(13) = 1377 fits and d(14) = 2538 does
 # not, so certificates pair every Lyndon word up to dim g = 13 (sl(2),
@@ -181,11 +177,6 @@ def _check_jobs(jobs: int) -> None:
     """jobs is accepted for compatibility and has no effect, but must be >= 1."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-
-
-def full_gram_side(degree_cap: int) -> int:
-    """d(cap): number of Lyndon words of degree <= cap."""
-    return sum(witt_dimension(j) for j in range(1, degree_cap + 1))
 
 
 def _full_gram_fits(degree_cap: int) -> bool:
@@ -325,52 +316,6 @@ def derived_series(alg: LieAlgebra, basis: Sequence) -> list:
         current = nxt
 
 
-def is_solvable(alg: LieAlgebra, basis: Sequence) -> bool:
-    return derived_series(alg, basis)[-1] == 0
-
-
-@dataclass(frozen=True)
-class InvariantValue:
-    value: Scalar
-    degree: int
-
-
-def invariant_value(alg: LieAlgebra, cd: CartanDecomposition,
-                    t: LyndonWord, t_prime: LyndonWord,
-                    z: Sequence[Scalar]) -> InvariantValue:
-    """The Killing pairing of the two word evaluations at z."""
-    degree = t.degree + t_prime.degree
-    if degree > 2 * alg.dim:
-        raise DegreeBoundError(
-            f"deg {t} + deg {t_prime} = {degree} exceeds 2*dim g = {2 * alg.dim}")
-    ez = decompose(cd, z)
-    ev = WordEvaluator(alg, ez.x, ez.y)
-    return InvariantValue(
-        value=killing_pair(alg, ev.value(t), ev.value(t_prime)),
-        degree=degree,
-    )
-
-
-def lie_derivative_residual(alg: LieAlgebra, cd: CartanDecomposition,
-                            t: LyndonWord, t_prime: LyndonWord,
-                            z: Sequence[Scalar], u: Sequence[Scalar]) -> Scalar:
-    """First-order change of the pairing along the k-direction u; exactly 0
-    for a correct build."""
-    k_span = EchelonSpan(alg.dim)
-    k_span.extend(cd.k_basis)
-    if not k_span.contains(u):
-        raise ValueError("direction u must lie in the span of k")
-    ez = decompose(cd, z)
-    dx = bracket(alg, u, ez.x)
-    dy = bracket(alg, u, ez.y)
-    from .words import DualWordEvaluator
-
-    dev = DualWordEvaluator(alg, ez.x, ez.y, dx, dy)
-    a = dev.value(t)
-    b = dev.value(t_prime)
-    return killing_pair(alg, a.value, b.deriv) + killing_pair(alg, a.deriv, b.value)
-
-
 def _power_traces(alg: LieAlgebra, z: Sequence[Scalar]):
     """tr((ad z)^m) for m = 1, ..., 2 dim g, from one running product."""
     p = a = ad_matrix(alg, z)
@@ -427,17 +372,24 @@ def separation_probe(alg: LieAlgebra, cd: CartanDecomposition,
     ezp = decompose(cd, z_prime)
     ev = WordEvaluator(alg, ez.x, ez.y)
     evp = WordEvaluator(alg, ezp.x, ezp.y)
-    words = [w for group in lyndon_basis(degree_cap) for w in group]
     two_n = 2 * alg.dim
-    for a in range(len(words)):
-        wa = words[a]
-        va, vpa = ev.value(wa), evp.value(wa)
-        for b in range(a, len(words)):
-            wb = words[b]
+    # a pair needs deg t + deg t' <= 2n, so a word of degree 2n or more
+    # pairs with nothing; words come in ascending degree, so each loop
+    # stops at its first word past the bound
+    words = [w for group in lyndon_basis(min(degree_cap, two_n - 1))
+             for w in group]
+    form = alg.killing
+    for a, wa in enumerate(words):
+        if 2 * wa.degree > two_n:
+            break
+        # B symmetric: B(v_a, v_b) = (B v_a) . v_b, one matvec per word
+        bva = form.matvec(ev.value(wa))
+        bvpa = form.matvec(evp.value(wa))
+        for wb in words[a:]:
             if wa.degree + wb.degree > two_n:
-                continue
-            lhs = killing_pair(alg, va, ev.value(wb))
-            rhs = killing_pair(alg, vpa, evp.value(wb))
+                break
+            lhs = vec_dot(bva, ev.value(wb))
+            rhs = vec_dot(bvpa, evp.value(wb))
             if lhs != rhs:
                 return Separator("word-pair", {
                     "t": str(wa), "t_prime": str(wb),

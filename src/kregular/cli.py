@@ -67,9 +67,12 @@ algebra_opt = click.option("--algebra", "-a", default=None,
                            help="catalog name, e.g. sl2 or split-sl:3")
 file_opt = click.option("--file", "-f", default=None, type=click.Path(),
                         help="algebra JSON file")
-degree_opt = click.option("--degree", "-d", default=6, show_default=True,
-                          type=click.IntRange(1, MAX_WORD_DEGREE),
-                          help="largest Lyndon-word degree")
+
+
+def degree_opt(note=""):
+    return click.option("--degree", "-d", default=6, show_default=True,
+                        type=click.IntRange(1, MAX_WORD_DEGREE),
+                        help="largest Lyndon-word degree" + note)
 
 
 @click.group(cls=_InputBoundary)
@@ -123,7 +126,7 @@ def algebra_dump(algebra):
 
 
 @main.command()
-@degree_opt
+@degree_opt()
 def hall(degree):
     """List the Lyndon-word basis by degree, with bracketings."""
     groups = lyndon_basis(degree)
@@ -267,7 +270,8 @@ def bounds(algebra, file):
 @file_opt
 @click.option("--element", "-e", "element_path", required=True, type=click.Path())
 @click.option("--element2", "-e2", "element2_path", required=True, type=click.Path())
-@degree_opt
+@degree_opt("; degrees above 2 dim g - 1 add nothing, as a word pair "
+            "needs deg t + deg t' <= 2 dim g")
 def separate(algebra, file, element_path, element2_path, degree):
     """Search for an invariant separating two elements (inconclusive if none)."""
     alg, cd = _resolve_algebra(algebra, file)

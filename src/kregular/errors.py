@@ -31,10 +31,6 @@ class GramSizeError(InputError):
     """A full-mode Gram matrix would exceed the fixed size limit."""
 
 
-class DegreeBoundError(InputError):
-    """A word-pair degree exceeds the invariant degree bound."""
-
-
 class SoundnessError(KregularError):
     """An internal consistency check failed: a bug, not an input error.
 

@@ -67,11 +67,6 @@ class RestrictedRootDatum:
         return len(self.a_basis)
 
     @property
-    def mult_one(self) -> tuple:
-        """Positive root indices with 1-dimensional root space."""
-        return tuple(i for i in self.positive if self.roots[i].multiplicity == 1)
-
-    @property
     def mult_high(self) -> tuple:
         """Positive root indices with root space of dimension >= 2."""
         return tuple(i for i in self.positive if self.roots[i].multiplicity > 1)

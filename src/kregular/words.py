@@ -191,8 +191,3 @@ class DualWordEvaluator:
     def value(self, word: LyndonWord) -> DualVector:
         return self._eval(word.bracketing)
 
-
-def evaluate_word_dual(alg: LieAlgebra, word: LyndonWord,
-                       x, y, dx, dy) -> DualVector:
-    """Value and directional derivative of the evaluation along (dx, dy)."""
-    return DualWordEvaluator(alg, x, y, dx, dy).value(word)

@@ -2,29 +2,22 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from kregular import certify
+from kregular import certify, verify
 from kregular.algebra import ad_matrix, bracket, decompose, killing_pair
 from kregular.certify import (
     centralizer_in_k,
     degree_bounds,
     derived_series,
-    full_gram_side,
     generated_subalgebra,
     gram_matrix,
-    invariant_value,
     is_k_regular,
-    is_solvable,
-    lie_derivative_residual,
     nilcone_test,
     power_trace,
     separation_probe,
 )
-from kregular.errors import (
-    DegreeBoundError,
-    GramSizeError,
-    SoundnessError,
-)
+from kregular.errors import GramSizeError, SoundnessError
 from kregular.linalg import (
     EchelonSpan,
     MatrixQ,
@@ -33,7 +26,13 @@ from kregular.linalg import (
     reduced_basis,
 )
 from kregular.scalar import I, ONE, ZERO, Scalar
-from kregular.words import LyndonWord, witt_dimension
+from kregular.words import (
+    DualWordEvaluator,
+    LyndonWord,
+    WordEvaluator,
+    lyndon_basis,
+    witt_dimension,
+)
 
 from conftest import count_filtrations, flip_regularity, vec
 
@@ -62,7 +61,7 @@ def test_gram_full_mode(sl2):
     alg, cd = sl2
     cert = gram_matrix(alg, cd, Z_REG)
     assert cert.mode == "full"
-    assert cert.gram.rows == full_gram_side(3) == 5
+    assert cert.gram.rows == 5  # X, Y, XY, XXY, XYY
     assert cert.gram.is_symmetric()
     assert cert.rank == 3
 
@@ -82,7 +81,7 @@ def test_gram_size_limit(sl2, monkeypatch):
         gram_matrix(alg, cd, Z_REG, mode="full")
     # reduced mode sidesteps the limit, and raising it admits full mode
     assert gram_matrix(alg, cd, Z_REG, mode="reduced").rank == 3
-    monkeypatch.setattr(certify, "GRAM_LIMIT", full_gram_side(3))
+    monkeypatch.setattr(certify, "GRAM_LIMIT", 5)  # d(3)
     assert gram_matrix(alg, cd, Z_REG, mode="full").rank == 3
 
 
@@ -94,7 +93,7 @@ def test_certificate_mode_is_fixed_by_the_algebra(sl3, monkeypatch):
     monkeypatch.setenv("KREGULAR_GRAM_LIMIT", "0")
     assert is_k_regular(alg, cd, Z_SL3).to_dict() == plain
     assert plain["mode"] == "full"
-    assert full_gram_side(13) <= certify.GRAM_LIMIT < full_gram_side(14)
+    assert certify._full_gram_fits(13) and not certify._full_gram_fits(14)
 
 
 def test_full_mode_size_check_stops_summing_past_the_limit(sl2, monkeypatch):
@@ -169,41 +168,39 @@ def test_derived_series(sl2):
     alg, _ = sl2
     full = [alg.basis_vector(i) for i in range(3)]
     assert derived_series(alg, full) == [3, 3]
-    assert not is_solvable(alg, full)
+    assert derived_series(alg, full)[-1] != 0
     borel = [alg.basis_vector(0), alg.basis_vector(1)]  # h, e
     assert derived_series(alg, borel) == [2, 1, 0]
-    assert is_solvable(alg, borel)
+    assert derived_series(alg, borel)[-1] == 0
     with pytest.raises(ValueError):
         derived_series(alg, [alg.basis_vector(1), alg.basis_vector(2)])
 
 
 def test_invariant_value(sl2):
+    """The invariants B(t(z), t'(z)) are the entries of the full Gram:
+    rows and columns run X, Y, XY at cap 2."""
     alg, cd = sl2
-    x_word = LyndonWord.parse("X")
-    xy_word = LyndonWord.parse("XY")
-    iv = invariant_value(alg, cd, x_word, xy_word, Z_REG)
-    # B(e - f, -2e - 2f) = 0
-    assert iv.value == ZERO
-    assert iv.degree == 3
-    xx = invariant_value(alg, cd, x_word, x_word, Z_REG)
-    assert xx.value == Scalar(-8)  # B(e - f, e - f)
-
-
-def test_invariant_degree_bound(sl2):
-    alg, cd = sl2
-    with pytest.raises(DegreeBoundError):
-        invariant_value(alg, cd, LyndonWord.parse("XXXY"),
-                        LyndonWord.parse("XXY"), Z_REG)
+    gram = gram_matrix(alg, cd, Z_REG, degree_cap=2).gram
+    assert gram[0, 2] == gram[2, 0] == ZERO  # B(e - f, -2e - 2f)
+    assert gram[0, 0] == Scalar(-8)  # B(e - f, e - f)
 
 
 def test_lie_derivative_residual(sl2):
+    """The invariance suite's residual B(t, dt') + B(dt, t') vanishes for
+    XY and XXY at z along every k-direction, and its record passes."""
     alg, cd = sl2
-    t = LyndonWord.parse("XY")
-    tp = LyndonWord.parse("XXY")
+    ez = decompose(cd, Z_REG)
+    words = [LyndonWord.parse("XY"), LyndonWord.parse("XXY")]
     for u in cd.k_basis:
-        assert lie_derivative_residual(alg, cd, t, tp, Z_REG, u) == ZERO
-    with pytest.raises(ValueError):
-        lie_derivative_residual(alg, cd, t, tp, Z_REG, alg.basis_vector(0))
+        dev = DualWordEvaluator(alg, ez.x, ez.y, bracket(alg, u, ez.x),
+                                bracket(alg, u, ez.y))
+        duals = [dev.value(w) for w in words]
+        residuals = verify._residuals([d.value for d in duals],
+                                      [d.deriv for d in duals], alg.killing)
+        assert [res for _, res in residuals] == [ZERO] * 3
+    report = verify.verify_suite(alg, cd, "invariance", seed=0, samples=1)
+    residual = {r.name: r for r in report.records}["residual-zero"]
+    assert residual.checks_run > 0 and residual.failures == 0
 
 
 def test_power_trace(sl2):
@@ -263,10 +260,91 @@ def test_power_traces_come_from_one_running_product(sl3, monkeypatch):
     assert len(calls) == 30
 
 
+def test_separation_probe_stops_words_at_degree_2n_minus_1(sl2, monkeypatch):
+    """deg t + deg t' <= 2n = 6 on sl(2): no word past degree 5 pairs with
+    anything, and only words of degree <= 3 take the Killing matvec, once
+    per side, even at the largest CLI cap."""
+    alg, cd = sl2
+    degrees, killing_matvecs = [], []
+    value, matvec = WordEvaluator.value, MatrixQ.matvec
+
+    def counting_value(self, word):
+        degrees.append(word.degree)
+        return value(self, word)
+
+    def counting_matvec(self, v):
+        if self is alg.killing:
+            killing_matvecs.append(v)
+        return matvec(self, v)
+
+    monkeypatch.setattr(WordEvaluator, "value", counting_value)
+    monkeypatch.setattr(MatrixQ, "matvec", counting_matvec)
+    assert separation_probe(alg, cd, Z_REG, Z_REG, degree_cap=16) is None
+    assert set(degrees) == {1, 2, 3, 4, 5}
+    # X, Y, XY, XXY, XYY, on each of the two sides
+    assert len(killing_matvecs) == 10
+
+
+def _separation_probe_reference(alg, cd, z, z_prime, degree_cap):
+    """separation_probe as it was before its words stopped at degree
+    2n - 1: every word up to the cap, every pair over the bound skipped,
+    and one Killing matvec per pair and side."""
+    ez, ezp = decompose(cd, z), decompose(cd, z_prime)
+    ev = WordEvaluator(alg, ez.x, ez.y)
+    evp = WordEvaluator(alg, ezp.x, ezp.y)
+    words = [w for group in lyndon_basis(degree_cap) for w in group]
+    two_n = 2 * alg.dim
+    for a in range(len(words)):
+        wa = words[a]
+        va, vpa = ev.value(wa), evp.value(wa)
+        for b in range(a, len(words)):
+            wb = words[b]
+            if wa.degree + wb.degree > two_n:
+                continue
+            lhs = killing_pair(alg, va, ev.value(wb))
+            rhs = killing_pair(alg, vpa, evp.value(wb))
+            if lhs != rhs:
+                return {"kind": "word-pair", "t": str(wa), "t_prime": str(wb),
+                        "value": str(lhs), "value_prime": str(rhs)}
+    traces = zip(certify._power_traces(alg, z),
+                 certify._power_traces(alg, z_prime))
+    for m, (lhs, rhs) in enumerate(traces, 1):
+        if lhs != rhs:
+            return {"kind": "power-trace", "power": m,
+                    "value": str(lhs), "value_prime": str(rhs)}
+    return None
+
+
+_COORDS = st.lists(st.builds(Scalar, st.integers(-3, 3), st.integers(-2, 2)),
+                   min_size=8, max_size=8)
+
+
+@settings(max_examples=30, deadline=None)
+@given(algebra=st.sampled_from(("sl2", "sl3")),
+       kind=st.sampled_from(("equal", "scaled", "theta", "other")),
+       cap=st.integers(1, 6), u=_COORDS, w=_COORDS,
+       c=st.sampled_from((Scalar(2), Scalar(-1), I)))
+@example(algebra="sl3", kind="equal", cap=6, u=[ONE] * 8, w=[ONE] * 8, c=I)
+@example(algebra="sl2", kind="equal", cap=1, u=[ONE] * 8, w=[ONE] * 8, c=I)
+@example(algebra="sl3", kind="scaled", cap=1, u=[ONE] * 8, w=[ONE] * 8,
+         c=Scalar(-1))
+def test_separation_probe_matches_reference(sl2, sl3, algebra, kind, cap,
+                                            u, w, c):
+    alg, cd = {"sl2": sl2, "sl3": sl3}[algebra]
+    z = tuple(u[:alg.dim])
+    z_prime = {"equal": z, "scaled": tuple(c * a for a in z),
+               "theta": cd.theta.matvec(z), "other": tuple(w[:alg.dim])}[kind]
+    sep = separation_probe(alg, cd, z, z_prime, degree_cap=cap)
+    assert (None if sep is None else sep.to_dict()) \
+        == _separation_probe_reference(alg, cd, z, z_prime, cap)
+
+
 def test_full_gram_side():
-    assert full_gram_side(3) == 5
-    assert full_gram_side(8) == 71
-    assert full_gram_side(15) == 4720
+    """d(cap), the full Gram side, counts the Lyndon words up to cap."""
+    assert sum(map(len, lyndon_basis(3))) == 5
+    assert sum(map(len, lyndon_basis(8))) == 71
+    assert sum(witt_dimension(j) for j in range(1, 16)) == 4720
+    assert certify._full_gram_fits(8) and not certify._full_gram_fits(15)
 
 
 # Differential oracles: derived_series and centralizer_in_k as they were

@@ -208,7 +208,6 @@ def test_su21_datum_validates(su21, su21_datum):
     report = validate_datum(alg, cd, su21_datum)
     assert report.ok, report.first_failure
     assert su21_datum.mult_high == (0,)
-    assert su21_datum.mult_one == (2,)
 
 
 def test_su21_choose_y(su21, su21_datum):

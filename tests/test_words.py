@@ -7,7 +7,6 @@ from kregular.words import (
     LyndonWord,
     WordEvaluator,
     evaluate_word,
-    evaluate_word_dual,
     is_lyndon,
     lyndon_basis,
     lyndon_words_of_degree,
@@ -108,7 +107,8 @@ def test_dual_evaluation_product_rule(sl2):
     ez = decompose(cd, z)
     dx = vec(3, e1=1, e2=1)
     dy = vec(3, e0=2)
-    dv = evaluate_word_dual(alg, LyndonWord.parse("XY"), ez.x, ez.y, dx, dy)
+    dv = DualWordEvaluator(alg, ez.x, ez.y, dx, dy).value(
+        LyndonWord.parse("XY"))
     assert dv.value == evaluate_word(alg, LyndonWord.parse("XY"), ez.x, ez.y)
     expected = vec_add(bracket(alg, dx, ez.y), bracket(alg, ez.x, dy))
     assert dv.deriv == expected
@@ -122,8 +122,9 @@ def test_dual_evaluation_matches_epsilon_expansion(sl3):
     dx = tuple(Scalar((k * 3) % 3 - 1) for k in range(8))
     dy = tuple(Scalar((k * 7) % 3 - 1) for k in range(8))
 
+    dev = DualWordEvaluator(alg, ez.x, ez.y, dx, dy)
     for w in lyndon_basis(3)[2]:
-        dv = evaluate_word_dual(alg, w, ez.x, ez.y, dx, dy)
+        dv = dev.value(w)
         # f(t) = f(0) + f'(0) t + c2 t^2 + c3 t^3 for a degree-3 word;
         # combine t = 1, -1, 2, -2 samples to isolate f'(0) exactly
         def at(s):
