@@ -4,6 +4,14 @@ A LieAlgebra is given by structure constants over a fixed basis, held in
 one sparse table, LieAlgebra.structure, which every operation here reads.
 The Killing matrix is computed from it once at construction and cached,
 since every Gram-certificate pairing consults it.
+
+Two brackets read the table.  gaussian_bracket works on vectors of
+(re, im) integer pairs, over the table cleared of denominators by their
+lcm S (LieAlgebra.gaussian_table, built on first use); Lyndon-word
+evaluation runs on it and divides back to Scalars once per word.
+bracket works on Scalar vectors and serves the filtration, centralizer,
+derived series, validate() and the invariance suite's equivariance
+oracle, which therefore compares two independent arithmetics.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from .linalg import (
     EchelonSpan,
     MatrixQ,
     Vector,
+    gaussian_rows,
     linear_combination,
     nullspace_of,
     rank_of,
@@ -51,7 +60,8 @@ class LieAlgebra:
     (non-antisymmetric) table can be represented and caught by validate().
     """
 
-    __slots__ = ("name", "dim", "basis_labels", "structure", "killing", "family")
+    __slots__ = ("name", "dim", "basis_labels", "structure", "killing", "family",
+                 "_gaussian")
 
     def __init__(self, name: str, dim: int, structure: dict,
                  basis_labels: Optional[Sequence[str]] = None,
@@ -63,6 +73,7 @@ class LieAlgebra:
         self.structure = dict(structure)
         self.family = family
         self.killing = self._compute_killing()
+        self._gaussian = None
 
     @classmethod
     def from_lower_table(cls, name: str, dim: int, lower: dict,
@@ -84,6 +95,23 @@ class LieAlgebra:
 
     def basis_vector(self, i: int) -> Vector:
         return tuple(ONE if k == i else ZERO for k in range(self.dim))
+
+    def gaussian_table(self) -> tuple:
+        """(S, rows): S > 0 the lcm of the structure constants'
+        denominators, and rows the pairs (i, ((j, terms), ...)) of the
+        table times S, grouped by i, each term a (k, re, im) integer
+        triple.  Built on first use and kept."""
+        if self._gaussian is None:
+            pairs = list(self.structure.items())
+            scale, cleared = gaussian_rows(
+                tuple(c for _, c in terms) for _, terms in pairs)
+            rows = {}
+            for ((i, j), terms), ints in zip(pairs, cleared):
+                rows.setdefault(i, []).append((j, tuple(
+                    (k, re, im) for (k, _), (re, im) in zip(terms, ints))))
+            self._gaussian = scale, tuple(
+                (i, tuple(row)) for i, row in rows.items())
+        return self._gaussian
 
     def _compute_killing(self) -> MatrixQ:
         # B_ij = tr(ad_i ad_j) over sparse (ad_i)[k, l] = c^k_il, repeated k
@@ -118,6 +146,26 @@ def bracket(alg: LieAlgebra, u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector
             for k, s in terms:
                 out[k] = out[k] + c * s
     return tuple(out)
+
+
+def gaussian_bracket(alg: LieAlgebra, u: Sequence[tuple],
+                     v: Sequence[tuple]) -> tuple:
+    """S [u, v] for u, v given as (re, im) integer pairs, S from
+    alg.gaussian_table(); like bracket, it sums a repeated output index."""
+    out_re = [0] * alg.dim
+    out_im = [0] * alg.dim
+    for i, row in alg.gaussian_table()[1]:
+        a, b = u[i]
+        if a or b:
+            for j, terms in row:
+                c, d = v[j]
+                if c or d:
+                    re = a * c - b * d
+                    im = a * d + b * c
+                    for k, sr, si in terms:
+                        out_re[k] += re * sr - im * si
+                        out_im[k] += re * si + im * sr
+    return tuple(zip(out_re, out_im))
 
 
 def ad_matrix(alg: LieAlgebra, u: Sequence[Scalar]) -> MatrixQ:

@@ -40,11 +40,14 @@ from .errors import GramSizeError, SoundnessError
 from .linalg import (
     EchelonSpan,
     MatrixQ,
+    gaussian_dot,
+    gaussian_matvec,
+    gaussian_rows,
+    gaussian_scalar,
     nilpotency_exponent,
     pairing_matrix,
     rank_profile,
     reduced_basis,
-    vec_dot,
 )
 from .scalar import Scalar
 from .words import WordEvaluator, lyndon_basis, witt_dimension
@@ -378,22 +381,34 @@ def separation_probe(alg: LieAlgebra, cd: CartanDecomposition,
     # stops at its first word past the bound
     words = [w for group in lyndon_basis(min(degree_cap, two_n - 1))
              for w in group]
-    form = alg.killing
+    # B cleared once by the lcm K of its denominators and each word taken
+    # as its evaluator's integer row over its denominator, so that
+    # B(v_a, v_b) = (K B u_a) . u_b / (K d_a d_b), B symmetric, with one
+    # integer matvec per word and side
+    form_scale, form_rows = gaussian_rows(
+        alg.killing.row(i) for i in range(alg.dim))
     for a, wa in enumerate(words):
         if 2 * wa.degree > two_n:
             break
-        # B symmetric: B(v_a, v_b) = (B v_a) . v_b, one matvec per word
-        bva = form.matvec(ev.value(wa))
-        bvpa = form.matvec(evp.value(wa))
+        da, ua = ev.gaussian_value(wa)
+        dpa, upa = evp.gaussian_value(wa)
+        bua = gaussian_matvec(form_rows, ua)
+        bupa = gaussian_matvec(form_rows, upa)
         for wb in words[a:]:
             if wa.degree + wb.degree > two_n:
                 break
-            lhs = vec_dot(bva, ev.value(wb))
-            rhs = vec_dot(bvpa, evp.value(wb))
-            if lhs != rhs:
+            db, ub = ev.gaussian_value(wb)
+            dpb, upb = evp.gaussian_value(wb)
+            lhs = gaussian_dot(bua, ub)
+            rhs = gaussian_dot(bupa, upb)
+            den = form_scale * da * db
+            den_p = form_scale * dpa * dpb
+            # lhs / den != rhs / den_p, cross-multiplied
+            if any(p * den_p != q * den for p, q in zip(lhs, rhs)):
                 return Separator("word-pair", {
                     "t": str(wa), "t_prime": str(wb),
-                    "value": str(lhs), "value_prime": str(rhs),
+                    "value": str(gaussian_scalar(lhs, den)),
+                    "value_prime": str(gaussian_scalar(rhs, den_p)),
                 })
     traces = zip(_power_traces(alg, z), _power_traces(alg, z_prime))
     for m, (lhs, rhs) in enumerate(traces, 1):

@@ -2,11 +2,14 @@
 elimination kernel, EchelonSpan.
 
 Single inner products (matvec, matmul, the Killing matrix, killing_pair,
-root values) are vec_dot over Scalars.  pairing_matrix is the only bulk
-pairing (certificate Grams, the appendix a-basis Gram, the invariance
-residuals), run over the Gaussian integers: gaussian_rows clears a vector
-list by the lcm of its denominators, gaussian_dot takes exact (re, im)
-integer dot products, and gaussian_scalar divides each back into a Scalar.
+root values) are vec_dot over Scalars.  The bulk pairings run over the
+Gaussian integers: gaussian_rows clears a vector list by the lcm of its
+denominators, gaussian_dot and gaussian_matvec take exact (re, im)
+integer products, and gaussian_scalar divides each back into a Scalar.
+pairing_matrix builds every Gram this way (certificate Grams, the
+appendix a-basis Gram, the invariance residuals); separation_probe pairs
+word values with the same helpers, and Lyndon-word evaluation clears its
+inputs with gaussian_rows.  Elimination still runs over Scalars.
 Every rank, witness minor, reduced basis, nullspace, solve and
 span-membership test is an EchelonSpan pass over the rows in their given
 order, followed where needed by its rref().  The witness of a rank is the
@@ -87,6 +90,11 @@ def gaussian_dot(u: Sequence[tuple], v: Sequence[tuple]) -> tuple:
     return re, im
 
 
+def gaussian_matvec(rows: Sequence[Sequence[tuple]], v: Sequence[tuple]) -> tuple:
+    """The gaussian_dot of each integer row with v."""
+    return tuple(gaussian_dot(r, v) for r in rows)
+
+
 def gaussian_scalar(z: tuple, den: int) -> Scalar:
     """The Scalar (re + im i) / den of an integer pair z and den > 0."""
     re, im = z
@@ -103,7 +111,7 @@ def pairing_matrix(vectors: Sequence, form: "MatrixQ") -> "MatrixQ":
     form), with one Scalar per computed entry."""
     scale, rows = gaussian_rows(vectors)
     form_scale, form_rows = gaussian_rows(form.row(i) for i in range(form.rows))
-    images = [tuple(gaussian_dot(f, w) for f in form_rows) for w in rows]
+    images = [gaussian_matvec(form_rows, w) for w in rows]
     den = scale * scale * form_scale
     m = len(rows)
     flat = [ZERO] * (m * m)

@@ -1,21 +1,29 @@
 """Lyndon-word basis of the free Lie algebra on X < Y, and evaluation.
 
-Words are generated by Duval's algorithm; each word carries the canonical
-bracketing from its standard factorization (w = uv with v the longest
-proper Lyndon suffix).  Evaluation maps X -> x, Y -> y and recurses over
-the bracketing, memoising shared subtrees; a dual-number variant computes
-exact first-order directional derivatives along a perturbation (dx, dy).
+Words are generated by Duval's algorithm, once per degree and process;
+each word carries the canonical bracketing from its standard
+factorization (w = uv with v the longest proper Lyndon suffix).
+Evaluation maps X -> x, Y -> y and recurses over the bracketing,
+memoising shared subtrees; a dual-number variant computes exact
+first-order directional derivatives along a perturbation (dx, dy).
+
+Both evaluators run over the Gaussian integers: x and y (and dx, dy) are
+cleared once by one common denominator D, each subtree is an
+algebra.gaussian_bracket of its children, and value() divides back to
+Scalars.  A degree-d word's integer entries are its value times
+S^(d-1) D^d, S the structure table's denominator (gaussian_table), and
+its derivative shares that denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
-from .algebra import LieAlgebra, bracket
+from .algebra import LieAlgebra, gaussian_bracket
 from .errors import SoundnessError
-from .linalg import Vector, vec_add
+from .linalg import Vector, gaussian_rows, gaussian_scalar
 from .scalar import Scalar
 
 ALPHABET = ("X", "Y")
@@ -74,8 +82,10 @@ class LyndonWord:
         return "".join(self.letters)
 
 
-def lyndon_words_of_degree(degree: int) -> list:
-    """All Lyndon words of exactly this length, lexicographic, via Duval."""
+@cache
+def lyndon_words_of_degree(degree: int) -> tuple:
+    """All Lyndon words of exactly this length, lexicographic, via Duval;
+    computed once per degree, and shared, as words are immutable."""
     out = []
     w = [ALPHABET[0]]
     while w:
@@ -89,11 +99,11 @@ def lyndon_words_of_degree(degree: int) -> list:
             break
         ext[-1] = ALPHABET[ALPHABET.index(ext[-1]) + 1]
         w = ext
-    return out
+    return tuple(out)
 
 
 def lyndon_basis(max_degree: int) -> list:
-    """Lists of Lyndon words grouped by degree 1..max_degree."""
+    """Tuples of Lyndon words grouped by degree 1..max_degree."""
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     return [lyndon_words_of_degree(d) for d in range(1, max_degree + 1)]
@@ -130,24 +140,51 @@ def _mobius(n: int) -> int:
     return result
 
 
+def _gaussian_leaves(alg: LieAlgebra, vectors) -> tuple:
+    """(D, rows): the vectors cleared by one common denominator D."""
+    vectors = [tuple(v) for v in vectors]
+    if any(len(v) != alg.dim for v in vectors):
+        raise ValueError("vector length must equal dim")
+    return gaussian_rows(vectors)
+
+
+def _word_denominator(alg: LieAlgebra, scale: int, degree: int) -> int:
+    """S^(d-1) D^d, which divides a degree-d word's integer entries back
+    to its value, for D = scale."""
+    return alg.gaussian_table()[0] ** (degree - 1) * scale ** degree
+
+
 class WordEvaluator:
-    """Evaluates bracketings at a fixed (x, y), sharing subtree results."""
+    """Evaluates bracketings at a fixed (x, y), sharing subtree results,
+    over the Gaussian integers."""
 
     def __init__(self, alg: LieAlgebra, x: Sequence[Scalar], y: Sequence[Scalar]):
         self.alg = alg
-        self.x = tuple(x)
-        self.y = tuple(y)
-        self._cache = {"X": self.x, "Y": self.y}
+        self._scale, (gx, gy) = _gaussian_leaves(alg, (x, y))
+        self._cache = {"X": gx, "Y": gy}
+        self._values = {}
 
-    def _eval(self, tree) -> Vector:
+    def _eval(self, tree) -> tuple:
         v = self._cache.get(tree)
         if v is None:
-            v = bracket(self.alg, self._eval(tree[0]), self._eval(tree[1]))
+            v = gaussian_bracket(self.alg, self._eval(tree[0]),
+                                 self._eval(tree[1]))
             self._cache[tree] = v
         return v
 
+    def gaussian_value(self, word: LyndonWord) -> tuple:
+        """(den, row): the word's value is row / den, row its (re, im)
+        integer pairs and den = S^(d-1) D^d for degree d."""
+        return (_word_denominator(self.alg, self._scale, word.degree),
+                self._eval(word.bracketing))
+
     def value(self, word: LyndonWord) -> Vector:
-        return self._eval(word.bracketing)
+        v = self._values.get(word.bracketing)
+        if v is None:
+            den, row = self.gaussian_value(word)
+            v = tuple(gaussian_scalar(z, den) for z in row)
+            self._values[word.bracketing] = v
+        return v
 
 
 def evaluate_word(alg: LieAlgebra, word: LyndonWord,
@@ -165,29 +202,35 @@ class DualVector:
 
 
 class DualWordEvaluator:
-    """Evaluation over dual numbers: exact first-order Lie derivatives."""
+    """Evaluation over dual numbers: exact first-order Lie derivatives,
+    over the Gaussian integers."""
 
     def __init__(self, alg: LieAlgebra, x, y, dx, dy):
         self.alg = alg
-        self._cache = {
-            "X": DualVector(tuple(x), tuple(dx)),
-            "Y": DualVector(tuple(y), tuple(dy)),
-        }
+        self._scale, (gx, gy, gdx, gdy) = _gaussian_leaves(
+            alg, (x, y, dx, dy))
+        self._cache = {"X": (gx, gdx), "Y": (gy, gdy)}
+        self._values = {}
 
-    def _eval(self, tree) -> DualVector:
+    def _eval(self, tree) -> tuple:
         v = self._cache.get(tree)
         if v is None:
-            a = self._eval(tree[0])
-            b = self._eval(tree[1])
-            value = bracket(self.alg, a.value, b.value)
-            deriv = vec_add(
-                bracket(self.alg, a.deriv, b.value),
-                bracket(self.alg, a.value, b.deriv),
-            )
-            v = DualVector(value, deriv)
+            a, da = self._eval(tree[0])
+            b, db = self._eval(tree[1])
+            alg = self.alg
+            left = gaussian_bracket(alg, da, b)
+            right = gaussian_bracket(alg, a, db)
+            v = (gaussian_bracket(alg, a, b),
+                 tuple((p + r, q + s) for (p, q), (r, s) in zip(left, right)))
             self._cache[tree] = v
         return v
 
     def value(self, word: LyndonWord) -> DualVector:
-        return self._eval(word.bracketing)
-
+        v = self._values.get(word.bracketing)
+        if v is None:
+            den = _word_denominator(self.alg, self._scale, word.degree)
+            value, deriv = self._eval(word.bracketing)
+            v = DualVector(tuple(gaussian_scalar(z, den) for z in value),
+                           tuple(gaussian_scalar(z, den) for z in deriv))
+            self._values[word.bracketing] = v
+        return v

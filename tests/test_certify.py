@@ -21,6 +21,7 @@ from kregular.errors import GramSizeError, SoundnessError
 from kregular.linalg import (
     EchelonSpan,
     MatrixQ,
+    gaussian_matvec,
     nullspace_of,
     rank_of,
     reduced_basis,
@@ -262,23 +263,22 @@ def test_power_traces_come_from_one_running_product(sl3, monkeypatch):
 
 def test_separation_probe_stops_words_at_degree_2n_minus_1(sl2, monkeypatch):
     """deg t + deg t' <= 2n = 6 on sl(2): no word past degree 5 pairs with
-    anything, and only words of degree <= 3 take the Killing matvec, once
-    per side, even at the largest CLI cap."""
+    anything, and only words of degree <= 3 take the integer Killing
+    matvec, once per side, even at the largest CLI cap."""
     alg, cd = sl2
     degrees, killing_matvecs = [], []
-    value, matvec = WordEvaluator.value, MatrixQ.matvec
+    gaussian_value = WordEvaluator.gaussian_value
 
     def counting_value(self, word):
         degrees.append(word.degree)
-        return value(self, word)
+        return gaussian_value(self, word)
 
-    def counting_matvec(self, v):
-        if self is alg.killing:
-            killing_matvecs.append(v)
-        return matvec(self, v)
+    def counting_matvec(rows, v):
+        killing_matvecs.append(v)
+        return gaussian_matvec(rows, v)
 
-    monkeypatch.setattr(WordEvaluator, "value", counting_value)
-    monkeypatch.setattr(MatrixQ, "matvec", counting_matvec)
+    monkeypatch.setattr(WordEvaluator, "gaussian_value", counting_value)
+    monkeypatch.setattr(certify, "gaussian_matvec", counting_matvec)
     assert separation_probe(alg, cd, Z_REG, Z_REG, degree_cap=16) is None
     assert set(degrees) == {1, 2, 3, 4, 5}
     # X, Y, XY, XXY, XYY, on each of the two sides
@@ -323,8 +323,10 @@ _COORDS = st.lists(st.builds(Scalar, st.integers(-3, 3), st.integers(-2, 2)),
 @given(algebra=st.sampled_from(("sl2", "sl3")),
        kind=st.sampled_from(("equal", "scaled", "theta", "other")),
        cap=st.integers(1, 6), u=_COORDS, w=_COORDS,
-       c=st.sampled_from((Scalar(2), Scalar(-1), I)))
+       c=st.sampled_from((Scalar(2), Scalar(-1), I, ONE / 2)))
 @example(algebra="sl3", kind="equal", cap=6, u=[ONE] * 8, w=[ONE] * 8, c=I)
+@example(algebra="sl2", kind="scaled", cap=2, u=[ONE, -ONE, ONE] * 3,
+         w=[ONE] * 8, c=ONE / 2)
 @example(algebra="sl2", kind="equal", cap=1, u=[ONE] * 8, w=[ONE] * 8, c=I)
 @example(algebra="sl3", kind="scaled", cap=1, u=[ONE] * 8, w=[ONE] * 8,
          c=Scalar(-1))

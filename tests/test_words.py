@@ -1,6 +1,8 @@
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kregular.words import (
     DualWordEvaluator,
@@ -12,9 +14,9 @@ from kregular.words import (
     lyndon_words_of_degree,
     witt_dimension,
 )
-from kregular.algebra import bracket, decompose
+from kregular.algebra import LieAlgebra, bracket, decompose
 from kregular.linalg import vec_add
-from kregular.scalar import Scalar
+from kregular.scalar import I, ONE, ZERO, Scalar
 
 from conftest import vec
 
@@ -41,6 +43,12 @@ def test_duval_matches_brute_force():
     for d in range(1, 9):
         got = [str(w) for w in lyndon_words_of_degree(d)]
         assert got == brute_lyndon(d)
+
+
+def test_words_are_generated_once_per_degree():
+    assert lyndon_words_of_degree(7) is lyndon_words_of_degree(7)
+    assert lyndon_basis(3)[2] is lyndon_words_of_degree(3)
+    assert [str(w) for w in lyndon_words_of_degree(3)] == ["XXY", "XYY"]
 
 
 def test_witt_formula_matches_counts():
@@ -149,3 +157,153 @@ def test_dual_evaluator_shares_cache(sl2):
     a = dev.value(LyndonWord.parse("XXY"))
     b = dev.value(LyndonWord.parse("XXY"))
     assert a is b
+
+
+class _ScalarWordEvaluator:
+    """WordEvaluator as it was before it ran over the Gaussian integers:
+    every subtree a Scalar bracket."""
+
+    def __init__(self, alg, x, y):
+        self.alg = alg
+        self._cache = {"X": tuple(x), "Y": tuple(y)}
+
+    def _eval(self, tree):
+        v = self._cache.get(tree)
+        if v is None:
+            v = bracket(self.alg, self._eval(tree[0]), self._eval(tree[1]))
+            self._cache[tree] = v
+        return v
+
+    def value(self, word):
+        return self._eval(word.bracketing)
+
+
+class _ScalarDualWordEvaluator:
+    """DualWordEvaluator as it was before it ran over the Gaussian
+    integers: (value, deriv) pairs of Scalar brackets."""
+
+    def __init__(self, alg, x, y, dx, dy):
+        self.alg = alg
+        self._cache = {"X": (tuple(x), tuple(dx)), "Y": (tuple(y), tuple(dy))}
+
+    def _eval(self, tree):
+        v = self._cache.get(tree)
+        if v is None:
+            a, da = self._eval(tree[0])
+            b, db = self._eval(tree[1])
+            v = (bracket(self.alg, a, b),
+                 vec_add(bracket(self.alg, da, b), bracket(self.alg, a, db)))
+            self._cache[tree] = v
+        return v
+
+    def value(self, word):
+        return self._eval(word.bracketing)
+
+
+def _rescaled(alg, scales):
+    """alg in the basis c_i b_i: [c_i b_i, c_j b_j] has coefficient
+    c_i c_j c^k_ij / c_k on c_k b_k, so the constants become Gaussian
+    rationals."""
+    return LieAlgebra(alg.name + "-rescaled", alg.dim, {
+        (i, j): tuple((k, c * scales[i] * scales[j] / scales[k])
+                      for k, c in terms)
+        for (i, j), terms in alg.structure.items()})
+
+
+def _halved(alg):
+    """alg with each structure constant written as two halves on the same
+    output index: a table with a repeated output index and S = 2."""
+    half = ONE / 2
+    return LieAlgebra(alg.name + "-halved", alg.dim, {
+        ij: tuple(t for k, c in terms for t in ((k, c * half), (k, c * half)))
+        for ij, terms in alg.structure.items()})
+
+
+_SCALES = (ONE, Scalar(2), Scalar(Fraction(1, 3)), Scalar(Fraction(3, 2)),
+           Scalar(1, 1), ONE, Scalar(Fraction(2, 5)), I)
+
+_TABLES = ("sl2", "sl3", "su21", "sl3-rescaled", "sl3-halved")
+
+
+@pytest.fixture(scope="module")
+def tables(sl2, sl3, su21):
+    return {"sl2": sl2[0], "sl3": sl3[0], "su21": su21[0],
+            "sl3-rescaled": _rescaled(sl3[0], _SCALES),
+            "sl3-halved": _halved(sl3[0])}
+
+
+_Q = st.fractions(-3, 3, max_denominator=4)
+_COORDS = st.lists(st.builds(Scalar, _Q, _Q), min_size=8, max_size=8)
+
+
+def _leaves(alg, zero, *coords):
+    """Each coordinate list cut to dim g, with x (the first) or y (the
+    second) replaced by zero when asked."""
+    vectors = [tuple(c[:alg.dim]) for c in coords]
+    if zero is not None:
+        vectors["xy".index(zero)] = (ZERO,) * alg.dim
+    return vectors
+
+
+@settings(max_examples=25, deadline=None)
+@given(table=st.sampled_from(_TABLES), zero=st.sampled_from((None, "x", "y")),
+       degree=st.integers(1, 8), x=_COORDS, y=_COORDS)
+@example(table="sl3-rescaled", zero=None, degree=8,
+         x=[Scalar(Fraction(1, 2), -1)] * 8, y=[Scalar(k, Fraction(1, 3))
+                                               for k in range(8)])
+@example(table="sl3-halved", zero="x", degree=8, x=[ONE] * 8, y=[I] * 8)
+def test_word_evaluator_matches_scalar_reference(tables, table, zero, degree,
+                                                 x, y):
+    alg = tables[table]
+    x, y = _leaves(alg, zero, x, y)
+    ev, ref = WordEvaluator(alg, x, y), _ScalarWordEvaluator(alg, x, y)
+    for group in lyndon_basis(degree):
+        for w in group:
+            assert ev.value(w) == ref.value(w)
+
+
+@settings(max_examples=25, deadline=None)
+@given(table=st.sampled_from(_TABLES), zero=st.sampled_from((None, "x", "y")),
+       degree=st.integers(1, 8), x=_COORDS, y=_COORDS, dx=_COORDS, dy=_COORDS)
+@example(table="su21", zero="y", degree=8, x=[Scalar(1, -1)] * 8,
+         y=[ONE] * 8, dx=[Scalar(Fraction(2, 3))] * 8,
+         dy=[Scalar(0, Fraction(1, 4))] * 8)
+def test_dual_word_evaluator_matches_scalar_reference(tables, table, zero,
+                                                      degree, x, y, dx, dy):
+    alg = tables[table]
+    x, y, dx, dy = _leaves(alg, zero, x, y, dx, dy)
+    dev = DualWordEvaluator(alg, x, y, dx, dy)
+    ref = _ScalarDualWordEvaluator(alg, x, y, dx, dy)
+    for group in lyndon_basis(degree):
+        for w in group:
+            dv = dev.value(w)
+            assert (dv.value, dv.deriv) == ref.value(w)
+
+
+def test_evaluators_make_no_scalar_products(sl3, monkeypatch):
+    """Both evaluators bracket over the Gaussian integers: the 71 words up
+    to degree 8 cost no Scalar multiplication, while one Scalar bracket
+    costs many."""
+    alg, cd = sl3
+    ez = decompose(cd, tuple(Scalar(k % 3 - 1, (k * 2) % 3 - 1)
+                             for k in range(8)))
+    u = cd.k_basis[0]
+    dx, dy = bracket(alg, u, ez.x), bracket(alg, u, ez.y)
+    calls = []
+    mul = Scalar.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counting)
+    monkeypatch.setattr(Scalar, "__rmul__", counting)
+    ev = WordEvaluator(alg, ez.x, ez.y)
+    dev = DualWordEvaluator(alg, ez.x, ez.y, dx, dy)
+    for group in lyndon_basis(8):
+        for w in group:
+            ev.value(w)
+            dev.value(w)
+    assert calls == []
+    bracket(alg, ez.x, ez.y)
+    assert calls
