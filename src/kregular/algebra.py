@@ -10,8 +10,10 @@ Two brackets read the table.  gaussian_bracket works on vectors of
 lcm S (LieAlgebra.gaussian_table, built on first use); Lyndon-word
 evaluation runs on it and divides back to Scalars once per word.
 bracket works on Scalar vectors and serves the filtration, centralizer,
-derived series, validate() and the invariance suite's equivariance
-oracle, which therefore compares two independent arithmetics.
+derived series and validate().  ad_matrix walks the table in a loop of
+its own, reading neither gaussian_table nor gaussian_bracket, so the
+invariance suite's equivariance oracle, which applies ad u to the word
+values over the Gaussian integers, stays independent of word evaluation.
 """
 
 from __future__ import annotations

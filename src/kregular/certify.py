@@ -41,6 +41,7 @@ from .linalg import (
     EchelonSpan,
     MatrixQ,
     gaussian_dot,
+    gaussian_matmul,
     gaussian_matvec,
     gaussian_rows,
     gaussian_scalar,
@@ -319,13 +320,24 @@ def derived_series(alg: LieAlgebra, basis: Sequence) -> list:
         current = nxt
 
 
+def _trace(rows: list, den: int) -> Scalar:
+    """The trace of a square matrix of (re, im) integer pairs over den."""
+    diagonal = [r[i] for i, r in enumerate(rows)]
+    return gaussian_scalar((sum(re for re, _ in diagonal),
+                            sum(im for _, im in diagonal)), den)
+
+
 def _power_traces(alg: LieAlgebra, z: Sequence[Scalar]):
-    """tr((ad z)^m) for m = 1, ..., 2 dim g, from one running product."""
-    p = a = ad_matrix(alg, z)
-    yield p.trace()
+    """tr((ad z)^m) for m = 1, ..., 2 dim g, from one running product over
+    the Gaussian integers: ad z is cleared once by the lcm D of its
+    denominators, and the m-th trace is divided back by D^m."""
+    ad = ad_matrix(alg, z)
+    scale, a = gaussian_rows(ad.row(i) for i in range(ad.rows))
+    p, den = a, scale
+    yield _trace(p, den)
     for _ in range(2 * alg.dim - 1):
-        p = p.matmul(a)
-        yield p.trace()
+        p, den = gaussian_matmul(p, a), den * scale
+        yield _trace(p, den)
 
 
 def power_trace(alg: LieAlgebra, z: Sequence[Scalar], m: int) -> Scalar:

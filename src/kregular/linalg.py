@@ -1,15 +1,20 @@
 """Dense exact matrices over Q(i), the dot products, and the one
 elimination kernel, EchelonSpan.
 
-Single inner products (matvec, matmul, the Killing matrix, killing_pair,
-root values) are vec_dot over Scalars.  The bulk pairings run over the
-Gaussian integers: gaussian_rows clears a vector list by the lcm of its
-denominators, gaussian_dot and gaussian_matvec take exact (re, im)
-integer products, and gaussian_scalar divides each back into a Scalar.
-pairing_matrix builds every Gram this way (certificate Grams, the
-appendix a-basis Gram, the invariance residuals); separation_probe pairs
-word values with the same helpers, and Lyndon-word evaluation clears its
-inputs with gaussian_rows.  Elimination still runs over Scalars.
+Single inner products (matvec, the Killing matrix, killing_pair, root
+values) are vec_dot over Scalars, and so is MatrixQ.matmul, which only
+validate's theta-involution check still calls.  The bulk products run
+over the Gaussian integers: gaussian_rows clears a vector list by the lcm
+of its denominators, gaussian_dot, gaussian_matvec and gaussian_matmul
+take exact (re, im) integer products, and gaussian_scalar divides a
+result back into a Scalar where it is reported.  pairing_matrix builds
+every Gram this way (certificate Grams, the appendix a-basis Gram);
+separation_probe's word pairs and power traces, the invariance suite's
+residuals and equivariance oracle, and Lyndon-word evaluation use the
+same helpers.  nilpotency_exponent and is_nilpotent_matrix power a
+matrix m cleared once by the lcm D of its denominators: (D m)^e =
+D^e m^e, so every zero test and exponent is that of m.  Elimination
+still runs over Scalars.
 Every rank, witness minor, reduced basis, nullspace, solve and
 span-membership test is an EchelonSpan pass over the rows in their given
 order, followed where needed by its rref().  The witness of a rank is the
@@ -93,6 +98,26 @@ def gaussian_dot(u: Sequence[tuple], v: Sequence[tuple]) -> tuple:
 def gaussian_matvec(rows: Sequence[Sequence[tuple]], v: Sequence[tuple]) -> tuple:
     """The gaussian_dot of each integer row with v."""
     return tuple(gaussian_dot(r, v) for r in rows)
+
+
+def gaussian_matmul(a: Sequence[Sequence[tuple]],
+                    b: Sequence[Sequence[tuple]]) -> list:
+    """The product a b of two matrices given as rows of (re, im) integer
+    pairs, as a list of rows; zero terms are skipped."""
+    cols = len(b[0]) if b else 0
+    sparse = [[(j, c, d) for j, (c, d) in enumerate(row) if c or d]
+              for row in b]
+    out = []
+    for row in a:
+        re = [0] * cols
+        im = [0] * cols
+        for (p, q), terms in zip(row, sparse):
+            if p or q:
+                for j, c, d in terms:
+                    re[j] += p * c - q * d
+                    im[j] += p * d + q * c
+        out.append(tuple(zip(re, im)))
+    return out
 
 
 def gaussian_scalar(z: tuple, den: int) -> Scalar:
@@ -194,14 +219,6 @@ class MatrixQ:
         return MatrixQ(self.rows, self.cols,
                        tuple(a - b for a, b in zip(self.entries, other.entries)))
 
-    def trace(self) -> Scalar:
-        if self.rows != self.cols:
-            raise ValueError("trace of non-square matrix")
-        acc = ZERO
-        for i in range(self.rows):
-            acc = acc + self[i, i]
-        return acc
-
     def is_zero(self) -> bool:
         return all(not a for a in self.entries)
 
@@ -291,32 +308,42 @@ def solve_in_span(basis: MatrixQ, v: Sequence[Scalar]):
     return tuple(coeffs)
 
 
+def _gaussian_is_zero(rows) -> bool:
+    return all(z == (0, 0) for r in rows for z in r)
+
+
 def is_nilpotent_matrix(m: MatrixQ, dim: int) -> bool:
-    """True iff m^dim = 0, computed by repeated squaring."""
+    """True iff m^dim = 0, computed by repeated squaring over the
+    Gaussian integers: m is cleared once by the lcm D of its
+    denominators, and (D m)^e = D^e m^e vanishes exactly when m^e does."""
     if m.rows != m.cols or m.rows != dim:
         raise ValueError(f"expected a {dim}x{dim} matrix, got {m.rows}x{m.cols}")
     if dim == 0:
         return True
-    p = m
+    p = gaussian_rows(m.row(i) for i in range(dim))[1]
     e = 1
     while e < dim:
-        if p.is_zero():
+        if _gaussian_is_zero(p):
             return True
-        p = p.matmul(p)
+        p = gaussian_matmul(p, p)
         e *= 2
-    return p.is_zero()
+    return _gaussian_is_zero(p)
 
 
 def nilpotency_exponent(m: MatrixQ):
     """Least e >= 1 with m^e = 0, or None if m is not nilpotent; an n x n
-    nilpotent m has m^n = 0, so the powers stop at e = max(n, 1)."""
+    nilpotent m has m^n = 0, so the powers stop at e = max(n, 1).  The
+    powers are those of m cleared by the lcm D of its denominators, over
+    the Gaussian integers; (D m)^e = D^e m^e, so each zero test and the
+    exponent are those of m."""
     if m.rows != m.cols:
         raise ValueError(f"expected a square matrix, got {m.rows}x{m.cols}")
-    p, e = m, 1
-    while not p.is_zero():
+    a = gaussian_rows(m.row(i) for i in range(m.rows))[1]
+    p, e = a, 1
+    while not _gaussian_is_zero(p):
         if e >= max(m.rows, 1):
             return None
-        p, e = p.matmul(m), e + 1
+        p, e = gaussian_matmul(p, a), e + 1
     return e
 
 

@@ -35,6 +35,10 @@ from .certify import (
 from .errors import SoundnessError
 from .linalg import (
     MatrixQ,
+    gaussian_dot,
+    gaussian_matvec,
+    gaussian_rows,
+    gaussian_scalar,
     is_nilpotent_matrix,
     linear_combination,
     pairing_matrix,
@@ -199,14 +203,21 @@ def _suite_regularity(alg, cd, rng, samples, box, datum) -> list:
     return [agreement, rank_bound]
 
 
-def _residuals(values, derivs, form):
-    """((a, b), B(v_a, d_b) + B(d_a, v_b)) for a <= b, with B(u, w) =
-    u . (form w), read from one Gram over the values then the derivatives:
-    for a symmetric form, B(d_a, v_b) = B(v_b, d_a) = gram[b, k + a]."""
-    k = len(values)
-    gram = pairing_matrix(values + derivs, form)
-    return (((a, b), gram[a, k + b] + gram[b, k + a])
-            for a in range(k) for b in range(a, k))
+def _residual_sums(duals, form):
+    """((a, b), res, den) for a <= b, the residual B(v_a, d_b) + B(d_a, v_b)
+    being res / den with res an (re, im) integer pair and B(u, w) =
+    u . (F w).  duals are the (den, value_row, deriv_row) triples of
+    DualWordEvaluator.gaussian_value, and form the (scale, rows) of F
+    cleared by gaussian_rows; each F v and F d is taken once."""
+    scale, rows = form
+    images = [(gaussian_matvec(rows, v), gaussian_matvec(rows, d))
+              for _, v, d in duals]
+    for a, (den_a, v_a, d_a) in enumerate(duals):
+        for b in range(a, len(duals)):
+            fv_b, fd_b = images[b]
+            re1, im1 = gaussian_dot(v_a, fd_b)
+            re2, im2 = gaussian_dot(d_a, fv_b)
+            yield (a, b), (re1 + re2, im1 + im2), scale * den_a * duals[b][0]
 
 
 def _suite_invariance(alg, cd, rng, samples, box, datum) -> list:
@@ -221,22 +232,32 @@ def _suite_invariance(alg, cd, rng, samples, box, datum) -> list:
         "[u, value] for every k-basis direction u",
     )
     words = [w for group in lyndon_basis(4) for w in group]
+    n = alg.dim
+    killing = gaussian_rows(alg.killing.row(i) for i in range(n))
     for _ in range(samples):
         z = sample_element(alg, rng, box)
         ez = decompose(cd, z)
+        scale, leaves = gaussian_rows((ez.x, ez.y))
         for u in cd.k_basis:
-            dx = bracket(alg, u, ez.x)
-            dy = bracket(alg, u, ez.y)
+            # the oracle: ad u from the structure table, cleared by the lcm
+            # D_u of its denominators, so that [u, w] = (ad_rows w) / D_u
+            ad = ad_matrix(alg, u)
+            ad_scale, ad_rows = gaussian_rows(ad.row(i) for i in range(n))
+            dx, dy = (tuple(gaussian_scalar(c, ad_scale * scale)
+                            for c in gaussian_matvec(ad_rows, leaf))
+                      for leaf in leaves)
             dev = DualWordEvaluator(alg, ez.x, ez.y, dx, dy)
-            duals = [dev.value(w) for w in words]
-            for w, dv in zip(words, duals):
-                expected = bracket(alg, u, dv.value)
-                equivariance.check(dv.deriv == expected, f"word {w}")
-            for (a, b), res in _residuals([dv.value for dv in duals],
-                                          [dv.deriv for dv in duals],
-                                          alg.killing):
-                residual.check(not res, "" if not res else (
-                    f"pair ({words[a]},{words[b]}), residual {res}"))
+            duals = [dev.gaussian_value(w) for w in words]
+            for w, (_, value, deriv) in zip(words, duals):
+                # deriv / den == (ad_rows value) / (D_u den), cross-multiplied
+                equivariance.check(
+                    tuple((re * ad_scale, im * ad_scale) for re, im in deriv)
+                    == gaussian_matvec(ad_rows, value), f"word {w}")
+            for (a, b), res, den in _residual_sums(duals, killing):
+                ok = res == (0, 0)
+                residual.check(ok, "" if ok else (
+                    f"pair ({words[a]},{words[b]}), residual "
+                    f"{gaussian_scalar(res, den)}"))
     return [residual, equivariance]
 
 

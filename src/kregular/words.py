@@ -225,11 +225,16 @@ class DualWordEvaluator:
             self._cache[tree] = v
         return v
 
+    def gaussian_value(self, word: LyndonWord) -> tuple:
+        """(den, value_row, deriv_row): the word's value and derivative
+        are the two integer rows over one den = S^(d-1) D^d."""
+        return (_word_denominator(self.alg, self._scale, word.degree),
+                *self._eval(word.bracketing))
+
     def value(self, word: LyndonWord) -> DualVector:
         v = self._values.get(word.bracketing)
         if v is None:
-            den = _word_denominator(self.alg, self._scale, word.degree)
-            value, deriv = self._eval(word.bracketing)
+            den, value, deriv = self.gaussian_value(word)
             v = DualVector(tuple(gaussian_scalar(z, den) for z in value),
                            tuple(gaussian_scalar(z, den) for z in deriv))
             self._values[word.bracketing] = v

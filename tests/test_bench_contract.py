@@ -13,14 +13,21 @@ from kregular import Scalar, catalog_build
 from conftest import vec
 
 ROOT = Path(__file__).resolve().parent.parent
-SPANS = ROOT / "bench" / "spans.py"
-RUN = ROOT / "bench" / "run.py"
+BENCH = ROOT / "bench"
+RUN = BENCH / "run.py"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+def _load_bench(name):
+    """bench/<name>.py as a fresh module, read without importing bench."""
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    # a dataclass looks its module up by name while the class is built
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
     return module
 
 
@@ -34,7 +41,7 @@ def _lookup(name):
 
 
 def test_every_traced_name_installs_and_restores():
-    spans = _load_spans()
+    spans = _load_bench("spans")
     before = {name: _lookup(name) for name in spans.TRACED}
     dunders = {attr: Scalar.__dict__[attr] for attr in spans.SCALAR_DUNDERS}
     tracer = spans.Tracer()
@@ -74,3 +81,21 @@ def test_setup_probe_prints_one_float():
     lines = proc.stdout.splitlines()
     assert len(lines) == 1, proc.stdout
     assert float(lines[0]) > 0
+
+
+def test_nilcone_exponents_match_the_bench_checker():
+    # the seed-1 sl4-reduced nil pool: each element is x + y for n x n
+    # matrices x and y, and bench/checks.py recomputes the nilpotency
+    # exponents of ad x and ad y from them over its own Z[i] products
+    workloads = _load_bench("workloads")
+    checks = _load_bench("checks")
+    alg, cd = catalog_build("split-sl", 4)
+    for op in workloads.pool("sl4-reduced", 1)["nil"]:
+        e = op.element
+        cert = kregular.nilcone_test(alg, cd, tuple(
+            Scalar(re, im) for re, im in e.coords))
+        assert cert.verdict == "nil-k", op.key
+        stated = (cert.witnesses["ad_x_exponent"],
+                  cert.witnesses["ad_y_exponent"])
+        assert stated == tuple(checks.nilpotency_exponent(
+            checks.ad_operator(m)) for m in (e.x_mat, e.y_mat)), op.key

@@ -1,10 +1,12 @@
-"""Differential tests of the Gaussian-integer Killing pairings, of the
-rank profile stopped at a proven bound, and of the k/p split.
+"""Differential tests of the Gaussian-integer Killing pairings and power
+traces, of the rank profile stopped at a proven bound, and of the k/p
+split.
 
 The references are in-file copies of the code each kernel replaced: the
 Scalar Gram build (each vector paired with the Killing matrix applied to
 the other through vec_dot, entry by entry, on and above the diagonal),
-the invariance residuals as one integer dot product each, and decompose
+the invariance residuals as one integer dot product each, the power
+traces of ad z from a running MatrixQ.matmul product, and decompose
 through the projections (1 +/- theta)/2.
 """
 
@@ -18,6 +20,7 @@ from kregular import certify, linalg, verify
 from kregular.algebra import (
     CartanDecomposition,
     LieAlgebra,
+    ad_matrix,
     decompose,
     killing_pair,
     validate,
@@ -155,13 +158,22 @@ def _old_residuals(values, derivs, form):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_residuals_match_one_integer_dot_product_each(data):
+    # any form, symmetric or not: both sides read v_a . F d_b + d_a . F v_b
     n = data.draw(st.integers(1, 4))
     k = data.draw(st.integers(0, 6))
     vector = st.lists(gaussian_rationals, min_size=n, max_size=n).map(tuple)
     values = data.draw(st.lists(vector, min_size=k, max_size=k))
     derivs = data.draw(st.lists(vector, min_size=k, max_size=k))
     form = MatrixQ.identity(n)
-    assert list(verify._residuals(values, derivs, form)) \
+    if data.draw(st.booleans()):
+        form = MatrixQ.from_rows(data.draw(st.lists(
+            st.lists(entries, min_size=n, max_size=n), min_size=n,
+            max_size=n)))
+    duals = [(den, *rows) for den, rows in
+             (gaussian_rows(pair) for pair in zip(values, derivs))]
+    cleared = gaussian_rows(form.row(i) for i in range(n))
+    assert [(ab, gaussian_scalar(res, den)) for ab, res, den
+            in verify._residual_sums(duals, cleared)] \
         == _old_residuals(values, derivs, form)
 
 
@@ -192,6 +204,30 @@ def test_decompose_matches_projection_split(su21, data):
     ez = decompose(cd, z)
     assert ez.z == tuple(z)
     assert (ez.x, ez.y) == _projection_split(cd, z)
+
+
+def _scalar_power_traces(alg, z):
+    """tr((ad z)^m) for m = 1, ..., 2 dim g as they were taken before the
+    Gaussian-integer kernel: one running MatrixQ.matmul product over
+    Scalars."""
+    p = a = ad_matrix(alg, z)
+    traces = []
+    for m in range(1, 2 * alg.dim + 1):
+        if m > 1:
+            p = p.matmul(a)
+        traces.append(sum((p[i, i] for i in range(alg.dim)), ZERO))
+    return traces
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_power_traces_match_scalar_running_product(su21, data):
+    # wide-style z: all 20-bit Gaussian integers or all Gaussian rationals
+    # with small denominators; the rescaled table is not integral either
+    alg = data.draw(st.sampled_from((SL2, SL3, su21[0], SL3_RESCALED)))
+    entry = data.draw(st.sampled_from((wide_integers, gaussian_rationals)))
+    z = data.draw(st.lists(entry, min_size=alg.dim, max_size=alg.dim))
+    assert list(certify._power_traces(alg, z)) == _scalar_power_traces(alg, z)
 
 
 @settings(max_examples=80, deadline=None)

@@ -4,7 +4,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from kregular import certify, roots, verify
+from kregular import certify, roots, verify, words
 from kregular.catalog import catalog_build
 from kregular.cli import main
 from kregular.errors import SoundnessError
@@ -148,6 +148,27 @@ def test_invariance_residual_reads_the_killing_form(sl2):
     assert residual.failures == 15
     assert residual.first_counterexample == "pair (Y,Y), residual -6i"
     assert broken_recs["equivariance"].failures == 0
+
+
+def test_equivariance_oracle_catches_a_broken_integer_bracket(sl3,
+                                                              monkeypatch):
+    # the oracle applies ad u built from the structure table, not the word
+    # evaluator's integer bracket, so zeroing that bracket's first output
+    # coordinate fails both invariance records
+    alg, cd = sl3
+    original = words.gaussian_bracket
+
+    def broken(alg, u, v):
+        return ((0, 0),) + original(alg, u, v)[1:]
+
+    monkeypatch.setattr(words, "gaussian_bracket", broken)
+    report = verify_suite(alg, cd, "invariance", seed=0, samples=1)
+    records = {r.name: (r.checks_run, r.failures, r.first_counterexample)
+               for r in report.records}
+    assert records == {
+        "equivariance": (24, 18, "word XY"),
+        "residual-zero": (108, 51, "pair (X,XYY), residual -1710-3360i"),
+    }
 
 
 def test_nilcone_suite_records_a_soundness_error(sl2, monkeypatch):
