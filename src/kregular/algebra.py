@@ -10,14 +10,18 @@ Two brackets read the table.  gaussian_bracket works on vectors of
 lcm S (LieAlgebra.gaussian_table, built on first use); Lyndon-word
 evaluation runs on it and divides back to Scalars once per word.
 bracket works on Scalar vectors and serves the filtration, centralizer,
-derived series and validate().  ad_matrix walks the table in a loop of
-its own, reading neither gaussian_table nor gaussian_bracket, so the
-invariance suite's equivariance oracle, which applies ad u to the word
-values over the Gaussian integers, stays independent of word evaluation.
+derived series and validate().  ad_matrix builds ad u over the Gaussian
+integers too, as (den, rows) with rows = den * ad u in (re, im) integer
+pairs, which the nilpotency tests, power traces and the invariance
+suite's equivariance oracle multiply as they are.  It walks the table in
+a loop of its own, reading neither gaussian_table nor gaussian_bracket,
+so that oracle, which applies ad u to the word values, stays independent
+of word evaluation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -170,18 +174,31 @@ def gaussian_bracket(alg: LieAlgebra, u: Sequence[tuple],
     return tuple(zip(out_re, out_im))
 
 
-def ad_matrix(alg: LieAlgebra, u: Sequence[Scalar]) -> MatrixQ:
-    """Matrix of ad u; column j is [u, b_j]."""
+def ad_matrix(alg: LieAlgebra, u: Sequence[Scalar]) -> tuple:
+    """(den, rows): den > 0 and den * ad u as rows of (re, im) integer
+    pairs; column j is den [u, b_j].  u is cleared by the lcm of its
+    denominators and the table's constants by the lcm of those that u
+    touches, in a loop of its own over alg.structure; a repeated output
+    index is summed, as bracket does."""
     if len(u) != alg.dim:
         raise ValueError("vector length must equal dim")
-    cols = [[ZERO] * alg.dim for _ in range(alg.dim)]
-    for (i, j), terms in alg.structure.items():
-        ui = u[i]
-        if ui:
-            col = cols[j]
-            for k, s in terms:
-                col[k] = col[k] + ui * s
-    return MatrixQ.from_columns(cols)
+    n = alg.dim
+    u_scale, (cleared,) = gaussian_rows((u,))
+    terms = []
+    for (i, j), ts in alg.structure.items():
+        a, b = cleared[i]
+        if a or b:
+            terms.extend((k, j, a, b, s) for k, s in ts)
+    s_scale = math.lcm(*{q.denominator for *_, s in terms
+                         for q in (s.re, s.im)})
+    re = [[0] * n for _ in range(n)]
+    im = [[0] * n for _ in range(n)]
+    for k, j, a, b, s in terms:
+        c = s.re.numerator * (s_scale // s.re.denominator)
+        d = s.im.numerator * (s_scale // s.im.denominator)
+        re[k][j] += a * c - b * d
+        im[k][j] += a * d + b * c
+    return u_scale * s_scale, [tuple(zip(r, i)) for r, i in zip(re, im)]
 
 
 def centralizer(alg: LieAlgebra, basis: Sequence, vectors: Sequence) -> list:

@@ -11,7 +11,12 @@ from dim g = 14 up.
 
 A certificate computes g(z) once and carries it as `subalgebra`, which
 reduced mode pairs, the regularity cross-check reads and the verify
-suites reuse.  is_k_regular and nilcone_test share that pipeline.
+suites reuse; its `element` is the one split of z into x and y, which
+full mode evaluates words at and nilcone_test builds ad x and ad y from.
+is_k_regular and nilcone_test share that pipeline.  The filtration's
+degree 2 is the single bracket [y, x], the only first-step bracket that
+antisymmetry leaves able to enlarge span{x, y}.  The nilpotency of ad x
+and ad y is tested on their Gaussian-integer rows from ad_matrix.
 
 In both modes the Gram is built over the Gaussian integers (see
 linalg.pairing_matrix) and kept as a MatrixQ of Scalars.  Its rank is
@@ -30,6 +35,7 @@ from typing import Optional, Sequence
 
 from .algebra import (
     CartanDecomposition,
+    ElementZ,
     LieAlgebra,
     ad_matrix,
     bracket,
@@ -68,9 +74,11 @@ VERDICT_NEITHER = "neither"
 class SubalgebraReport:
     """g(z) computed by the filtration g_{m+1} = g_m + [x, g_m] + [y, g_m].
 
-    span, the filtration's own EchelonSpan, stays out of to_dict(), repr
-    and equality; reduced_basis, its RREF rows computed on first use, is
-    what span-only checks read instead of eliminating basis again.
+    span, the filtration's own EchelonSpan, and element, the split
+    z = x + y it started from, stay out of to_dict(), repr and equality;
+    reduced_basis, its RREF rows computed on first use, is what span-only
+    checks read instead of eliminating basis again, and certificates read
+    x and y from element instead of splitting z again.
     """
 
     basis: list
@@ -78,6 +86,7 @@ class SubalgebraReport:
     stabilization_degree: int
     per_degree_dims: list
     span: EchelonSpan = field(repr=False, compare=False)
+    element: ElementZ = field(repr=False, compare=False)
 
     @cached_property
     def reduced_basis(self) -> list:
@@ -95,6 +104,15 @@ def generated_subalgebra(alg: LieAlgebra, cd: CartanDecomposition,
                          z: Sequence[Scalar]) -> SubalgebraReport:
     """Iterate the filtration from span{x, y} until it stabilizes.
 
+    Degree 2 is the one bracket [y, x].  The table is antisymmetric (as
+    validate checks for every catalog and loaded algebra), so [x, x] and
+    [y, y] vanish and [x, y] = -[y, x]: of the four first-step brackets,
+    only [y, x] can enlarge the span, and it vanishes when x and y are
+    dependent.  It is inserted where bracketing the frontier (x, y) with
+    x, then y, would insert it, so the basis, and every Gram paired on
+    it, is the one the full step gives.  Each later degree brackets the
+    vectors the previous one added with x and y.
+
     Stabilization past dim g - 1 is a soundness bug, not an input error,
     and raises SoundnessError.
     """
@@ -104,30 +122,33 @@ def generated_subalgebra(alg: LieAlgebra, cd: CartanDecomposition,
     span.add(ez.x)
     span.add(ez.y)
     per_degree = [span.dim]
-    frontier = list(span.basis)
+    frontier = []
+    if span.dim == 2:
+        w = bracket(alg, ez.y, ez.x)
+        if span.add(w):
+            frontier.append(w)
     m = 1
-    while True:
+    while frontier:
+        per_degree.append(span.dim)
+        m += 1
+        if m > max(n - 1, 1):
+            raise SoundnessError(
+                f"filtration failed to stabilize by degree {n - 1}; "
+                "this contradicts the stabilization bound and is a bug")
         new = []
         for v in frontier:
             for gen in (ez.x, ez.y):
                 w = bracket(alg, gen, v)
                 if span.add(w):
                     new.append(w)
-        if not new:
-            break
-        per_degree.append(span.dim)
         frontier = new
-        m += 1
-        if m > max(n - 1, 1):
-            raise SoundnessError(
-                f"filtration failed to stabilize by degree {n - 1}; "
-                "this contradicts the stabilization bound and is a bug")
     return SubalgebraReport(
         basis=list(span.basis),
         dim=span.dim,
         stabilization_degree=m,
         per_degree_dims=per_degree,
         span=span,
+        element=ez,
     )
 
 
@@ -215,7 +236,7 @@ def gram_matrix(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
             "lower the degree cap or use reduced mode")
     report = generated_subalgebra(alg, cd, z)
     if mode == "full":
-        ez = decompose(cd, z)
+        ez = report.element
         ev = WordEvaluator(alg, ez.x, ez.y)
         vectors = [ev.value(w) for group in lyndon_basis(cap) for w in group]
     else:
@@ -276,15 +297,18 @@ def nilcone_test(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
     z is in the cone iff the Gram matrix vanishes identically and both
     ad x and ad y are nilpotent; the nilpotency exponents are recorded
     as witnesses.  Otherwise the verdict is k-regular or neither, with
-    no witness.  jobs has no effect.
+    no witness.  x and y are those the certificate's filtration split z
+    into, and ad y is not built once ad x is known not to be nilpotent.
+    jobs has no effect.
     """
     _check_jobs(jobs)
     cert = _certify(alg, cd, z)
     if cert.gram.is_zero():
-        ez = decompose(cd, z)
-        ex = nilpotency_exponent(ad_matrix(alg, ez.x))
-        ey = nilpotency_exponent(ad_matrix(alg, ez.y))
-        if ex is not None and ey is not None:
+        ez = cert.subalgebra.element
+        ex = nilpotency_exponent(ad_matrix(alg, ez.x)[1])
+        ey = None if ex is None else nilpotency_exponent(
+            ad_matrix(alg, ez.y)[1])
+        if ey is not None:
             cert.verdict = VERDICT_NIL
             cert.witnesses = {"ad_x_exponent": ex, "ad_y_exponent": ey}
     return cert
@@ -329,10 +353,9 @@ def _trace(rows: list, den: int) -> Scalar:
 
 def _power_traces(alg: LieAlgebra, z: Sequence[Scalar]):
     """tr((ad z)^m) for m = 1, ..., 2 dim g, from one running product over
-    the Gaussian integers: ad z is cleared once by the lcm D of its
-    denominators, and the m-th trace is divided back by D^m."""
-    ad = ad_matrix(alg, z)
-    scale, a = gaussian_rows(ad.row(i) for i in range(ad.rows))
+    the Gaussian integers: ad_matrix gives D ad z as integer rows, and the
+    m-th trace is divided back by D^m."""
+    scale, a = ad_matrix(alg, z)
     p, den = a, scale
     yield _trace(p, den)
     for _ in range(2 * alg.dim - 1):

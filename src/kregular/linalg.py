@@ -11,8 +11,9 @@ result back into a Scalar where it is reported.  pairing_matrix builds
 every Gram this way (certificate Grams, the appendix a-basis Gram);
 separation_probe's word pairs and power traces, the invariance suite's
 residuals and equivariance oracle, and Lyndon-word evaluation use the
-same helpers.  nilpotency_exponent and is_nilpotent_matrix power a
-matrix m cleared once by the lcm D of its denominators: (D m)^e =
+same helpers.  nilpotency_exponent and is_nilpotent_matrix take a square
+matrix as (re, im) integer rows, such as the D ad u of
+algebra.ad_matrix, and power it over the Gaussian integers: (D m)^e =
 D^e m^e, so every zero test and exponent is that of m.  Elimination
 still runs over Scalars.
 Every rank, witness minor, reduced basis, nullspace, solve and
@@ -312,16 +313,20 @@ def _gaussian_is_zero(rows) -> bool:
     return all(z == (0, 0) for r in rows for z in r)
 
 
-def is_nilpotent_matrix(m: MatrixQ, dim: int) -> bool:
-    """True iff m^dim = 0, computed by repeated squaring over the
-    Gaussian integers: m is cleared once by the lcm D of its
-    denominators, and (D m)^e = D^e m^e vanishes exactly when m^e does."""
-    if m.rows != m.cols or m.rows != dim:
-        raise ValueError(f"expected a {dim}x{dim} matrix, got {m.rows}x{m.cols}")
+def _check_square(rows: Sequence[Sequence[tuple]], dim: int) -> None:
+    if len(rows) != dim or any(len(r) != dim for r in rows):
+        raise ValueError(f"expected a {dim}x{dim} matrix")
+
+
+def is_nilpotent_matrix(rows: Sequence[Sequence[tuple]], dim: int) -> bool:
+    """True iff m^dim = 0 for the dim x dim matrix m given as rows of
+    (re, im) integer pairs, computed by repeated squaring.  Any positive
+    multiple D m of a Gaussian-rational matrix serves: (D m)^e = D^e m^e
+    vanishes exactly when m^e does."""
+    _check_square(rows, dim)
     if dim == 0:
         return True
-    p = gaussian_rows(m.row(i) for i in range(dim))[1]
-    e = 1
+    p, e = rows, 1
     while e < dim:
         if _gaussian_is_zero(p):
             return True
@@ -330,20 +335,18 @@ def is_nilpotent_matrix(m: MatrixQ, dim: int) -> bool:
     return _gaussian_is_zero(p)
 
 
-def nilpotency_exponent(m: MatrixQ):
-    """Least e >= 1 with m^e = 0, or None if m is not nilpotent; an n x n
-    nilpotent m has m^n = 0, so the powers stop at e = max(n, 1).  The
-    powers are those of m cleared by the lcm D of its denominators, over
-    the Gaussian integers; (D m)^e = D^e m^e, so each zero test and the
-    exponent are those of m."""
-    if m.rows != m.cols:
-        raise ValueError(f"expected a square matrix, got {m.rows}x{m.cols}")
-    a = gaussian_rows(m.row(i) for i in range(m.rows))[1]
-    p, e = a, 1
+def nilpotency_exponent(rows: Sequence[Sequence[tuple]]):
+    """Least e >= 1 with m^e = 0, or None if m is not nilpotent, for the
+    square matrix m given as rows of (re, im) integer pairs; an n x n
+    nilpotent m has m^n = 0, so the powers stop at e = max(n, 1).  As in
+    is_nilpotent_matrix, D m for any D > 0 has the exponent of m."""
+    n = len(rows)
+    _check_square(rows, n)
+    p, e = rows, 1
     while not _gaussian_is_zero(p):
-        if e >= max(m.rows, 1):
+        if e >= max(n, 1):
             return None
-        p, e = gaussian_matmul(p, a), e + 1
+        p, e = gaussian_matmul(p, rows), e + 1
     return e
 
 

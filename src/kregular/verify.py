@@ -239,10 +239,9 @@ def _suite_invariance(alg, cd, rng, samples, box, datum) -> list:
         ez = decompose(cd, z)
         scale, leaves = gaussian_rows((ez.x, ez.y))
         for u in cd.k_basis:
-            # the oracle: ad u from the structure table, cleared by the lcm
-            # D_u of its denominators, so that [u, w] = (ad_rows w) / D_u
-            ad = ad_matrix(alg, u)
-            ad_scale, ad_rows = gaussian_rows(ad.row(i) for i in range(n))
+            # the oracle: D_u ad u as integer rows from the structure
+            # table, so that [u, w] = (ad_rows w) / D_u
+            ad_scale, ad_rows = ad_matrix(alg, u)
             dx, dy = (tuple(gaussian_scalar(c, ad_scale * scale)
                             for c in gaussian_matvec(ad_rows, leaf))
                       for leaf in leaves)
@@ -276,7 +275,7 @@ def _is_nil_by_solvability(alg, rep) -> bool:
                   for _ in rep.basis]
         members.append(linear_combination(coeffs, rep.basis, alg.dim))
     return all(
-        is_nilpotent_matrix(ad_matrix(alg, w), alg.dim) for w in members
+        is_nilpotent_matrix(ad_matrix(alg, w)[1], alg.dim) for w in members
     )
 
 
@@ -310,7 +309,7 @@ def _suite_nilcone(alg, cd, rng, samples, box, datum) -> list:
         cartan.check(via_gram == via_solv,
                      f"gram route {via_gram}, solvability route {via_solv}")
         if is_sl2:
-            ez = decompose(cd, z)
+            ez = cert.subalgebra.element
             via_hand = vec_is_zero(ez.x) and not killing_pair(alg, ez.y, ez.y)
             oracle.check(via_gram == via_hand,
                          f"gram route {via_gram}, hand oracle {via_hand}")

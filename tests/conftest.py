@@ -10,6 +10,7 @@ from kregular import (
     RestrictedRoot,
     RestrictedRootDatum,
     Scalar,
+    bracket,
     catalog_build,
 )
 from kregular.scalar import ONE, ZERO
@@ -25,6 +26,13 @@ def vec(dim, **coords):
     for key, val in coords.items():
         out[int(key[1:])] = Scalar(val)
     return tuple(out)
+
+
+def scalar_ad(alg, u):
+    """ad u as a Scalar MatrixQ whose column j is bracket(alg, u, b_j): the
+    reference that ad_matrix's integer rows are tested against."""
+    return MatrixQ.from_columns([bracket(alg, u, alg.basis_vector(j))
+                                 for j in range(alg.dim)])
 
 
 def count_filtrations(monkeypatch, *modules):

@@ -16,7 +16,7 @@ from kregular.catalog import catalog_build
 from kregular.linalg import MatrixQ, vec_add, vec_dot, vec_is_zero
 from kregular.scalar import ONE, ZERO, Scalar
 
-from conftest import vec
+from conftest import scalar_ad, vec
 
 
 def sl2_lower():
@@ -41,7 +41,7 @@ def test_sl2_brackets(sl2):
 def _dense_killing(alg):
     """Reference Killing entries: n dense ad matrices, their transposes
     and n^2 dot products of length n^2."""
-    ads = [ad_matrix(alg, alg.basis_vector(i)) for i in range(alg.dim)]
+    ads = [scalar_ad(alg, alg.basis_vector(i)) for i in range(alg.dim)]
     transposed = [tuple(e for r in range(alg.dim) for e in b.column(r))
                   for b in ads]
     return [vec_dot(a.entries, bt) for a in ads for bt in transposed]
@@ -136,11 +136,22 @@ def test_repeated_index_matches_dense_reference():
 def test_ad_matrix(sl2):
     alg, _ = sl2
     h = alg.basis_vector(0)
-    adh = ad_matrix(alg, h)
-    assert adh == MatrixQ.from_rows([
+    assert ad_matrix(alg, h) == (1, [
+        ((0, 0), (0, 0), (0, 0)),
+        ((0, 0), (2, 0), (0, 0)),
+        ((0, 0), (0, 0), (-2, 0)),
+    ])
+    assert scalar_ad(alg, h) == MatrixQ.from_rows([
         [ZERO, ZERO, ZERO],
         [ZERO, Scalar(2), ZERO],
         [ZERO, ZERO, Scalar(-2)],
+    ])
+    # u = (1/2 + i) e: [u, h] = -(1 + 2i) e and [u, f] = (1/2 + i) h,
+    # over den 2, the lcm of u's denominators (the table is integral)
+    assert ad_matrix(alg, (ZERO, Scalar(Fraction(1, 2), 1), ZERO)) == (2, [
+        ((0, 0), (0, 0), (1, 2)),
+        ((-2, -4), (0, 0), (0, 0)),
+        ((0, 0), (0, 0), (0, 0)),
     ])
 
 
@@ -159,7 +170,7 @@ def test_killing_matches_trace_oracle(sl3):
         for j in range(i, alg.dim):
             u = alg.basis_vector(i)
             v = alg.basis_vector(j)
-            product = ad_matrix(alg, u).matmul(ad_matrix(alg, v))
+            product = scalar_ad(alg, u).matmul(scalar_ad(alg, v))
             oracle = sum((product[k, k] for k in range(alg.dim)), ZERO)
             assert killing_pair(alg, u, v) == oracle
 

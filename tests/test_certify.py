@@ -5,7 +5,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kregular import certify, verify
-from kregular.algebra import ad_matrix, bracket, decompose, killing_pair
+from kregular.algebra import (
+    CartanDecomposition,
+    ad_matrix,
+    bracket,
+    decompose,
+    killing_pair,
+)
+from kregular.catalog import _coords_of
 from kregular.certify import (
     centralizer_in_k,
     degree_bounds,
@@ -23,6 +30,7 @@ from kregular.linalg import (
     MatrixQ,
     gaussian_matvec,
     gaussian_rows,
+    nilpotency_exponent,
     nullspace_of,
     rank_of,
     reduced_basis,
@@ -36,12 +44,34 @@ from kregular.words import (
     witt_dimension,
 )
 
-from conftest import count_filtrations, flip_regularity, vec
+from conftest import count_filtrations, flip_regularity, scalar_ad, vec
 
 Z_REG = vec(3, e0=1, e1=1, e2=-1)  # h + e - f: x = e - f, y = h
 Z_NIL = tuple(a + I * (b + c) for a, b, c in zip(
     vec(3, e0=1), vec(3, e1=1), vec(3, e2=1)))  # h + i(e + f)
 Z_SL3 = tuple(Scalar((k * 3) % 5 - 2, k % 2) for k in range(8))
+
+
+def _sl4_element(entries):
+    """sl(4) coordinates of the matrix with the given {(i, j): Scalar}
+    entries (0-based), zero elsewhere."""
+    return tuple(_coords_of([[entries.get((i, j), ZERO) for j in range(4)]
+                             for i in range(4)], 4))
+
+
+def _sl4_nil():
+    """x + y with y = u u^T and x = u v^T - v u^T for the isotropic plane
+    u = (3, 4, 5i, 0), v = (4, -3, 0, 5i): g(z) = span{x, y} is abelian."""
+    u = (Scalar(3), Scalar(4), Scalar(0, 5), ZERO)
+    v = (Scalar(4), Scalar(-3), ZERO, Scalar(0, 5))
+    return _sl4_element({(i, j): u[i] * u[j] + u[i] * v[j] - v[i] * u[j]
+                         for i in range(4) for j in range(4)})
+
+
+# (1+i)(E12 - E21) + (1-i)(E34 - E43), an element of k: B(x, x) = 0, so
+# its reduced Gram vanishes, but ad x is not nilpotent
+Z_SL4_ZERO_GRAM = _sl4_element({(0, 1): Scalar(1, 1), (1, 0): Scalar(-1, -1),
+                                (2, 3): Scalar(1, -1), (3, 2): Scalar(-1, 1)})
 
 
 def test_generated_subalgebra(sl2):
@@ -379,7 +409,7 @@ def _centralizer_in_k_reference(alg, cd, report):
     if not report.basis:
         return [tuple(v) for v in cd.k_basis]
     n = alg.dim
-    ad_k = [ad_matrix(alg, u) for u in cd.k_basis]
+    ad_k = [scalar_ad(alg, u) for u in cd.k_basis]
     rows = []
     for w in report.basis:
         cols = [a.matvec(w) for a in ad_k]
@@ -446,8 +476,133 @@ def test_report_reduced_basis_is_the_rref_of_its_basis(sl2, sl3, sl4, su21):
 def test_report_span_stays_out_of_repr_and_equality(sl2):
     alg, cd = sl2
     rep = generated_subalgebra(alg, cd, Z_REG)
-    assert "span" not in repr(rep) and "span" not in rep.to_dict()
-    assert rep == dataclasses.replace(rep, span=EchelonSpan(alg.dim))
+    assert rep.element == decompose(cd, Z_REG)
+    for name in ("span", "element"):
+        assert name not in repr(rep) and name not in rep.to_dict()
+    assert rep == dataclasses.replace(rep, span=EchelonSpan(alg.dim),
+                                      element=decompose(cd, vec(3)))
+
+
+def _generated_subalgebra_reference(alg, cd, z):
+    """The filtration as it was before degree 2 became one bracket: every
+    frontier vector, x and y included, bracketed with x, then y.  Returns
+    (basis, per_degree_dims, stabilization_degree)."""
+    ez = decompose(cd, z)
+    span = EchelonSpan(alg.dim)
+    span.add(ez.x)
+    span.add(ez.y)
+    per_degree = [span.dim]
+    frontier = list(span.basis)
+    m = 1
+    while True:
+        new = []
+        for v in frontier:
+            for gen in (ez.x, ez.y):
+                w = bracket(alg, gen, v)
+                if span.add(w):
+                    new.append(w)
+        if not new:
+            return span.basis, per_degree, m
+        per_degree.append(span.dim)
+        frontier = new
+        m += 1
+
+
+_FILTRATION_ENTRIES = st.one_of(
+    st.just(ZERO), st.builds(Scalar, st.integers(-3, 3), st.integers(-2, 2)),
+    st.builds(Scalar, st.fractions(-4, 4, max_denominator=6)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(algebra=st.sampled_from(("sl2", "sl3", "su21", "sl4")),
+       part=st.sampled_from(("z", "k", "p")), dependent=st.booleans(),
+       coords=st.lists(_FILTRATION_ENTRIES, min_size=15, max_size=15))
+@example(algebra="sl3", part="p", dependent=False, coords=[ONE] * 15)  # x = 0
+@example(algebra="sl3", part="k", dependent=False, coords=[ONE] * 15)  # y = 0
+@example(algebra="sl4", part="z", dependent=True, coords=[ONE] * 15)
+def test_filtration_matches_reference(sl2, sl3, su21, sl4, algebra, part,
+                                      dependent, coords):
+    alg, cd = {"sl2": sl2, "sl3": sl3, "su21": su21, "sl4": sl4}[algebra]
+    z = tuple(coords[:alg.dim])
+    ez = decompose(cd, z)
+    z = {"z": z, "k": ez.x, "p": ez.y}[part]
+    if dependent:
+        # theta = 3: x = 2z and y = -z, so y lies in span{x}
+        cd = CartanDecomposition(MatrixQ.from_rows(
+            [[Scalar(3) if i == j else ZERO for j in range(alg.dim)]
+             for i in range(alg.dim)]))
+    rep = generated_subalgebra(alg, cd, z)
+    basis, per_degree, degree = _generated_subalgebra_reference(alg, cd, z)
+    assert rep.basis == basis
+    assert rep.per_degree_dims == per_degree
+    assert rep.stabilization_degree == degree
+
+
+def test_degree_two_of_the_filtration_is_one_bracket(sl2, sl4, monkeypatch):
+    """One bracket [y, x] makes degree 2, and each vector added after it
+    is bracketed with x and y once: 1 + 2 (dim g(z) - 2) in all, 3 fewer
+    than bracketing x and y each with x and y."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return bracket(*args)
+
+    monkeypatch.setattr(certify, "bracket", counting)
+    z_sl4 = tuple(Scalar(k % 3 - 1, (k * 2) % 3 - 1) for k in range(15))
+    for (alg, cd), z, dim, brackets in ((sl4, _sl4_nil(), 2, 1),
+                                        (sl2, Z_REG, 3, 3),
+                                        (sl4, z_sl4, 15, 27),
+                                        (sl2, vec(3), 0, 0)):
+        del calls[:]
+        rep = generated_subalgebra(alg, cd, z)
+        assert (rep.dim, len(calls)) == (dim, brackets)
+        if dim:
+            ez = decompose(cd, z)
+            assert calls[0] == (alg, ez.y, ez.x)
+
+
+def test_zero_gram_with_non_nilpotent_ad_x_is_neither(sl4):
+    """The vanishing Gram alone does not put z in the cone: on this
+    element of k the 1 x 1 reduced Gram [B(x, x)] is zero while ad x is
+    not nilpotent, as tr((ad x)^4) = -128 also shows."""
+    alg, cd = sl4
+    x = decompose(cd, Z_SL4_ZERO_GRAM).x
+    assert x == Z_SL4_ZERO_GRAM
+    gram = gram_matrix(alg, cd, Z_SL4_ZERO_GRAM, mode="reduced").gram
+    assert (gram.rows, gram.cols) == (1, 1) and gram.is_zero()
+    assert nilpotency_exponent(ad_matrix(alg, x)[1]) is None
+    assert power_trace(alg, x, 4) == Scalar(-128)
+    cert = nilcone_test(alg, cd, Z_SL4_ZERO_GRAM)
+    assert cert.verdict == "neither" and cert.witnesses is None
+
+
+@pytest.mark.parametrize("case", ["sl2-nil", "sl4-nil", "sl4-zero-gram"])
+def test_nilcone_test_splits_z_once(case, sl2, sl4, monkeypatch):
+    """The certificate's filtration is the one decompose call; ad y is not
+    built once ad x is known not to be nilpotent."""
+    (alg, cd), z, ads = {"sl2-nil": (sl2, Z_NIL, 2),
+                         "sl4-nil": (sl4, _sl4_nil(), 2),
+                         "sl4-zero-gram": (sl4, Z_SL4_ZERO_GRAM, 1)}[case]
+    splits, built = [], []
+
+    def counting_decompose(*args):
+        splits.append(args)
+        return decompose(*args)
+
+    def counting_ad(alg, u):
+        built.append(u)
+        return ad_matrix(alg, u)
+
+    monkeypatch.setattr(certify, "decompose", counting_decompose)
+    monkeypatch.setattr(certify, "ad_matrix", counting_ad)
+    cert = nilcone_test(alg, cd, z)
+    assert len(splits) == 1
+    ez = cert.subalgebra.element
+    assert built == [ez.x, ez.y][:ads]
+    del splits[:]
+    gram_matrix(alg, cd, z, degree_cap=2, mode="full")
+    assert len(splits) == 1
 
 
 def test_derived_series_of_all_of_g_skips_the_closure_check(sl4, monkeypatch):

@@ -4,7 +4,7 @@ pinned byte for byte.
 Every value below was produced by the Fraction-based Gram build and the
 unbounded rank_profile.  A faster kernel must reproduce them exactly:
 mode, rank, verdict, witness indices and gram_hash of each certificate,
-the full Gram of one sl(3) element, and the body_dict() of two seeded
+the full Gram of one sl(3) element, and the body_dict() of three seeded
 verify runs.
 """
 
@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from kregular import catalog_build
+from kregular.catalog import _coords_of
 from kregular.certify import gram_matrix, is_k_regular, nilcone_test
 from kregular.scalar import I, ONE, ZERO, Scalar
 from kregular.verify import verify_suite
@@ -31,10 +32,24 @@ def _element(key, dim):
     box: Gaussian integers with parts in [-3, 3].  rational: Gaussian
     rationals with mixed denominators up to 16.  block: Gaussian integers
     on a block subalgebra's coordinates, zero elsewhere, so the verdict is
-    neither.  nil: h + i(e + f) in sl(2), on the K-unstable cone.
+    neither.  nil: h + i(e + f) in sl(2), on the K-unstable cone; in
+    sl(4), x + y with y = u u^T and x = u v^T - v u^T for the isotropic
+    plane u = (3, 4, 5i, 0), v = (4, -3, 0, 5i).  zero-gram: the sl(4)
+    element (1+i)(E12 - E21) + (1-i)(E34 - E43) of k, whose Gram vanishes
+    while ad x is not nilpotent.
     """
     if key == "sl2/nil":
         return (ONE, I, I)
+    if key == "sl4/nil":
+        u = (Scalar(3), Scalar(4), Scalar(0, 5), ZERO)
+        v = (Scalar(4), Scalar(-3), ZERO, Scalar(0, 5))
+        return tuple(_coords_of([[u[i] * u[j] + u[i] * v[j] - v[i] * u[j]
+                                  for j in range(4)] for i in range(4)], 4))
+    if key == "sl4/zero-gram":
+        m = [[ZERO] * 4 for _ in range(4)]
+        m[0][1], m[1][0] = Scalar(1, 1), Scalar(-1, -1)
+        m[2][3], m[3][2] = Scalar(1, -1), Scalar(-1, 1)
+        return tuple(_coords_of(m, 4))
     rng = random.Random("golden/" + key)
     kind = key.split("/")[1]
     if kind == "box":
@@ -119,6 +134,12 @@ GOLDEN_CERTIFICATES = {
                       "minor_cols": list(range(15))},
         "gram_hash": "b02814f9a2c495b81515d459d8e95b76"
                      "3704cb7f892121d16ab5afe6aa256d3a"},
+    "sl4/nil": {
+        "degree_cap": 15, "mode": "reduced", "rank": 0,
+        "dim_g": 15, "verdict": "nil-k",
+        "witnesses": {"ad_x_exponent": 3, "ad_y_exponent": 3},
+        "gram_hash": "bd8dad413aa68ba905fb4b590f7e7b2b"
+                     "d699186e12eecae6ad3cf0cfcd57afd1"},
     "sl4/rational": {
         "degree_cap": 15, "mode": "reduced", "rank": 15,
         "dim_g": 15, "verdict": "k-regular",
@@ -126,6 +147,12 @@ GOLDEN_CERTIFICATES = {
                       "minor_cols": list(range(15))},
         "gram_hash": "a4f8b7502b6b5b270292f591a1c256cd"
                      "189ba438d0d685d07511686f2d72e8bd"},
+    "sl4/zero-gram": {
+        "degree_cap": 15, "mode": "reduced", "rank": 0,
+        "dim_g": 15, "verdict": "neither",
+        "witnesses": None,
+        "gram_hash": "061dc64a9b2faf307289896076751a82"
+                     "db19937408afc71bbf0d63a7a6193906"},
 }
 
 # sha256 of the sorted-key JSON of gram(include_matrix=True) for sl3/box
@@ -135,6 +162,8 @@ GOLDEN_SL3_MATRIX = (
 
 # sha256 of the sorted-key JSON of body_dict(), seed 0, one sample
 GOLDEN_REPORTS = {
+    "sl2/nilcone": ("5da1d71eb35aa494d9dbf5c75564b6da"
+                    "c2931a46d534385faff9b65aac648d19"),
     "sl3/invariance": ("4fff7b947753dbf7df06f44a7fe76651"
                        "0f70b29740b315deac49f1f16bcc20b2"),
     "sl4/appendix": ("a4193136d8641950dc25516ebb28087b"
@@ -148,7 +177,8 @@ def _algebra(key):
 
 def certificate(key) -> dict:
     alg, cd = _algebra(key)
-    test = nilcone_test if key == "sl2/nil" else is_k_regular
+    kind = key.split("/")[1]
+    test = nilcone_test if kind in ("nil", "zero-gram") else is_k_regular
     return test(alg, cd, _element(key, alg.dim)).to_dict()
 
 

@@ -7,7 +7,9 @@ Scalar Gram build (each vector paired with the Killing matrix applied to
 the other through vec_dot, entry by entry, on and above the diagonal),
 the invariance residuals as one integer dot product each, the power
 traces of ad z from a running MatrixQ.matmul product, and decompose
-through the projections (1 +/- theta)/2.
+through the projections (1 +/- theta)/2.  ad_matrix's integer rows are
+tested against ad u built column by column from the Scalar bracket
+(conftest.scalar_ad).
 """
 
 import random
@@ -38,6 +40,8 @@ from kregular.linalg import (
 from kregular.roots import catalog_datum
 from kregular.scalar import ZERO, Scalar
 from kregular.verify import sample_element
+
+from conftest import scalar_ad
 
 
 def _old_gram_of_vectors(alg, vectors):
@@ -210,7 +214,7 @@ def _scalar_power_traces(alg, z):
     """tr((ad z)^m) for m = 1, ..., 2 dim g as they were taken before the
     Gaussian-integer kernel: one running MatrixQ.matmul product over
     Scalars."""
-    p = a = ad_matrix(alg, z)
+    p = a = scalar_ad(alg, z)
     traces = []
     for m in range(1, 2 * alg.dim + 1):
         if m > 1:
@@ -228,6 +232,23 @@ def test_power_traces_match_scalar_running_product(su21, data):
     entry = data.draw(st.sampled_from((wide_integers, gaussian_rationals)))
     z = data.draw(st.lists(entry, min_size=alg.dim, max_size=alg.dim))
     assert list(certify._power_traces(alg, z)) == _scalar_power_traces(alg, z)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ad_matrix_rows_match_scalar_bracket(su21, data):
+    # Gaussian-rational u on the catalog tables and su(2,1), and on the
+    # rescaled sl(3), whose table is not integral either
+    alg = data.draw(st.sampled_from((SL2, SL3, su21[0], SL4, SL3_RESCALED)))
+    u = data.draw(st.lists(st.one_of(st.just(ZERO), gaussian_integers,
+                                     gaussian_rationals),
+                           min_size=alg.dim, max_size=alg.dim))
+    den, rows = ad_matrix(alg, u)
+    assert den > 0 and len(rows) == alg.dim
+    assert all(isinstance(c, int) for r in rows for z in r for c in z)
+    ref = scalar_ad(alg, u)
+    assert [[gaussian_scalar(z, den) for z in r] for r in rows] \
+        == [list(ref.row(i)) for i in range(alg.dim)]
 
 
 @settings(max_examples=80, deadline=None)
