@@ -25,7 +25,6 @@ from .catalog import catalog_build, parse_algebra_name
 from .words import (
     LyndonWord,
     WordEvaluator,
-    evaluate_word,
     is_lyndon,
     lyndon_basis,
     lyndon_words_of_degree,
@@ -75,7 +74,7 @@ __all__ = [
     "CartanDecomposition", "ElementZ", "LieAlgebra", "ValidationReport",
     "bracket", "ad_matrix", "killing_pair", "decompose", "validate",
     "catalog_build", "parse_algebra_name",
-    "LyndonWord", "WordEvaluator", "evaluate_word", "is_lyndon",
+    "LyndonWord", "WordEvaluator", "is_lyndon",
     "lyndon_basis", "lyndon_words_of_degree", "witt_dimension",
     "DegreeBounds", "GramCertificate", "SubalgebraReport",
     "centralizer_in_k", "degree_bounds", "derived_series",

@@ -1,28 +1,29 @@
 """Lie algebra structure: brackets, ad, Killing form, Cartan decompositions.
 
 A LieAlgebra is given by structure constants over a fixed basis, held in
-one sparse table, LieAlgebra.structure, which every operation here reads.
-The Killing matrix is computed from it once at construction and cached,
-since every Gram-certificate pairing consults it.
+one sparse table, LieAlgebra.structure, which every operation here reads;
+it holds one nonzero coefficient per output index.  The Killing matrix is
+computed from it at construction; gaussian_killing clears it once, on
+first use, for every Killing pairing of word values or basis vectors.
 
 Two brackets read the table.  gaussian_bracket works on vectors of
 (re, im) integer pairs, over the table cleared of denominators by their
 lcm S (LieAlgebra.gaussian_table, built on first use); Lyndon-word
-evaluation runs on it and divides back to Scalars once per word.
-bracket works on Scalar vectors and serves the filtration, centralizer,
-derived series and validate().  ad_matrix builds ad u over the Gaussian
-integers too, as (den, rows) with rows = den * ad u in (re, im) integer
-pairs, which the nilpotency tests, power traces and the invariance
-suite's equivariance oracle multiply as they are.  It walks the table in
-a loop of its own, reading neither gaussian_table nor gaussian_bracket,
-so that oracle, which applies ad u to the word values, stays independent
-of word evaluation.
+evaluation runs on it.  bracket works on Scalar vectors and serves the
+filtration, centralizer, derived series and validate().  ad_matrix builds
+ad u over the Gaussian integers too, as (den, rows) with rows = den * ad u
+in (re, im) integer pairs, which the nilpotency tests, power traces and
+the invariance suite's equivariance oracle multiply as they are.  It walks
+the table in a loop of its own, reading neither gaussian_table nor
+gaussian_bracket, so that oracle, which applies ad u to the word values,
+stays independent of word evaluation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .linalg import (
@@ -50,6 +51,21 @@ def _sparsify(coeffs: Sequence[Scalar]) -> SparseVec:
     return tuple((k, c) for k, c in enumerate(coeffs) if c)
 
 
+def _canonical(structure: dict) -> dict:
+    """structure with a repeated output index summed and zero terms and
+    empty entries dropped; an entry with neither is kept as it is."""
+    out = {}
+    for ij, terms in structure.items():
+        if len({k for k, c in terms if c}) < len(terms):
+            sums = {}
+            for k, c in terms:
+                sums[k] = sums.get(k, ZERO) + c
+            terms = tuple((k, c) for k, c in sums.items() if c)
+        if terms:
+            out[ij] = terms
+    return out
+
+
 def _densify(sv: SparseVec, dim: int) -> Vector:
     out = [ZERO] * dim
     for k, c in sv:
@@ -62,12 +78,13 @@ class LieAlgebra:
 
     structure is the one table of structure constants: it maps an ordered
     pair (i, j) to the sparse coefficient vector of [b_i, b_j], a tuple of
-    (k, c^k_ij) pairs.  Both orientations are stored so that a defective
+    (k, c^k_ij) pairs with distinct k and nonzero c, and leaves out a zero
+    bracket.  Both orientations are stored so that a defective
     (non-antisymmetric) table can be represented and caught by validate().
     """
 
     __slots__ = ("name", "dim", "basis_labels", "structure", "killing", "family",
-                 "_gaussian")
+                 "_gaussian", "_gaussian_killing")
 
     def __init__(self, name: str, dim: int, structure: dict,
                  basis_labels: Optional[Sequence[str]] = None,
@@ -76,10 +93,11 @@ class LieAlgebra:
         self.dim = dim
         self.basis_labels = tuple(basis_labels) if basis_labels else tuple(
             f"b{i}" for i in range(dim))
-        self.structure = dict(structure)
+        self.structure = _canonical(structure)
         self.family = family
         self.killing = self._compute_killing()
         self._gaussian = None
+        self._gaussian_killing = None
 
     @classmethod
     def from_lower_table(cls, name: str, dim: int, lower: dict,
@@ -90,9 +108,8 @@ class LieAlgebra:
             if not (0 <= i < j < dim):
                 raise ValueError(f"lower table needs 0 <= i < j < dim, got ({i},{j})")
             sv = _sparsify(coeffs) if not _is_sparse(coeffs) else tuple(coeffs)
-            if sv:
-                structure[(i, j)] = sv
-                structure[(j, i)] = tuple((k, -c) for k, c in sv)
+            structure[(i, j)] = sv
+            structure[(j, i)] = tuple((k, -c) for k, c in sv)
         return cls(name, dim, structure, basis_labels, family)
 
     def table(self, i: int, j: int) -> Vector:
@@ -119,14 +136,21 @@ class LieAlgebra:
                 (i, tuple(row)) for i, row in rows.items())
         return self._gaussian
 
+    def gaussian_killing(self) -> tuple:
+        """(K, rows): the Killing matrix's rows cleared by gaussian_rows, K
+        the lcm of its denominators.  Built on first use and kept."""
+        if self._gaussian_killing is None:
+            self._gaussian_killing = gaussian_rows(
+                self.killing.row(i) for i in range(self.dim))
+        return self._gaussian_killing
+
     def _compute_killing(self) -> MatrixQ:
-        # B_ij = tr(ad_i ad_j) over sparse (ad_i)[k, l] = c^k_il, repeated k
-        # accumulated as ad_matrix does; all n^2 entries, so validate()
-        # checks symmetry
+        # B_ij = tr(ad_i ad_j) over sparse (ad_i)[k, l] = c^k_il; all n^2
+        # entries, so validate() checks symmetry
         ads = [{} for _ in range(self.dim)]
         for (i, l), terms in self.structure.items():
             for k, c in terms:
-                ads[i][k, l] = ads[i].get((k, l), ZERO) + c
+                ads[i][k, l] = c
         return MatrixQ(self.dim, self.dim, [
             vec_dot(a.values(), [b.get((l, k), ZERO) for k, l in a])
             for a in ads for b in ads])
@@ -157,7 +181,7 @@ def bracket(alg: LieAlgebra, u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector
 def gaussian_bracket(alg: LieAlgebra, u: Sequence[tuple],
                      v: Sequence[tuple]) -> tuple:
     """S [u, v] for u, v given as (re, im) integer pairs, S from
-    alg.gaussian_table(); like bracket, it sums a repeated output index."""
+    alg.gaussian_table()."""
     out_re = [0] * alg.dim
     out_im = [0] * alg.dim
     for i, row in alg.gaussian_table()[1]:
@@ -178,8 +202,7 @@ def ad_matrix(alg: LieAlgebra, u: Sequence[Scalar]) -> tuple:
     """(den, rows): den > 0 and den * ad u as rows of (re, im) integer
     pairs; column j is den [u, b_j].  u is cleared by the lcm of its
     denominators and the table's constants by the lcm of those that u
-    touches, in a loop of its own over alg.structure; a repeated output
-    index is summed, as bracket does."""
+    touches, in a loop of its own over alg.structure."""
     if len(u) != alg.dim:
         raise ValueError("vector length must equal dim")
     n = alg.dim
@@ -327,24 +350,15 @@ def validate(alg: LieAlgebra, cd: Optional[CartanDecomposition] = None) -> Valid
 
     bad = None
     st = alg.structure
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                # [b_a, [b_b, b_c]] summed over the cyclic orders; the inner
-                # bracket is read as table() reads it, so a repeated index
-                # keeps its last coefficient
-                s = {}
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for m, cm in dict(st.get((b, c), ())).items():
-                        if cm:
-                            for t, ct in st.get((a, m), ()):
-                                s[t] = s.get(t, ZERO) + cm * ct
-                if any(s.values()):
-                    bad = (i, j, k)
-                    break
-            if bad:
-                break
-        if bad:
+    for i, j, k in combinations(range(n), 3):
+        # [b_a, [b_b, b_c]] summed over the cyclic orders
+        s = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, cm in st.get((b, c), ()):
+                for t, ct in st.get((a, m), ()):
+                    s[t] = s.get(t, ZERO) + cm * ct
+        if any(s.values()):
+            bad = (i, j, k)
             break
     rep.record("jacobi", bad is None,
                f"jacobi({bad[0]},{bad[1]},{bad[2]})" if bad else "")
@@ -360,17 +374,12 @@ def validate(alg: LieAlgebra, cd: Optional[CartanDecomposition] = None) -> Valid
     rep.record("theta-involution", cd.theta.matmul(cd.theta) == ident)
 
     # theta[b_i, b_j] as a combination of theta's columns, which skips the
-    # zero coefficients of a sparse bracket
+    # zero coefficients of a sparse bracket and the zero entries of a
+    # sparse theta
     cols = [cd.theta.column(j) for j in range(n)]
-    bad = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = linear_combination(alg.table(i, j), cols, n)
-            if lhs != bracket(alg, cols[i], cols[j]):
-                bad = (i, j)
-                break
-        if bad:
-            break
+    bad = next(((i, j) for i, j in combinations(range(n), 2)
+                if linear_combination(alg.table(i, j), cols, n)
+                != bracket(alg, cols[i], cols[j])), None)
     rep.record("theta-automorphism", bad is None,
                f"({bad[0]},{bad[1]})" if bad else "")
 

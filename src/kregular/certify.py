@@ -19,7 +19,8 @@ antisymmetry leaves able to enlarge span{x, y}.  The nilpotency of ad x
 and ad y is tested on their Gaussian-integer rows from ad_matrix.
 
 In both modes the Gram is built over the Gaussian integers (see
-linalg.pairing_matrix) and kept as a MatrixQ of Scalars.  Its rank is
+linalg.pairing_matrix) and kept as a MatrixQ of Scalars; full mode pairs
+the word rows of WordEvaluator.gaussian_value as they are.  Its rank is
 eliminated only up to dim g: G = V^T B V with V made of dim g-vectors,
 so rank G <= dim g is a theorem about the Gram, not a cut-off.
 """
@@ -238,10 +239,12 @@ def gram_matrix(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
     if mode == "full":
         ez = report.element
         ev = WordEvaluator(alg, ez.x, ez.y)
-        vectors = [ev.value(w) for group in lyndon_basis(cap) for w in group]
+        pairs = [ev.gaussian_value(w) for group in lyndon_basis(cap)
+                 for w in group]
     else:
-        vectors = report.basis
-    gram = pairing_matrix(vectors, alg.killing)
+        scale, cleared = gaussian_rows(report.basis)
+        pairs = [(scale, row) for row in cleared]
+    gram = pairing_matrix(pairs, alg.gaussian_killing())
     # G = V^T B V with V's columns in g, so rank G <= dim g: elimination
     # stops there (not at dim g(z), which the rank-bound check tests)
     rank, rows, cols = rank_profile(gram, max_rank=n)
@@ -420,8 +423,7 @@ def separation_probe(alg: LieAlgebra, cd: CartanDecomposition,
     # as its evaluator's integer row over its denominator, so that
     # B(v_a, v_b) = (K B u_a) . u_b / (K d_a d_b), B symmetric, with one
     # integer matvec per word and side
-    form_scale, form_rows = gaussian_rows(
-        alg.killing.row(i) for i in range(alg.dim))
+    form_scale, form_rows = alg.gaussian_killing()
     for a, wa in enumerate(words):
         if 2 * wa.degree > two_n:
             break

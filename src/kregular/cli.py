@@ -26,7 +26,7 @@ from .certify import (
 from .errors import InputError
 from .roots import catalog_datum, construct_regular
 from .verify import SUITES, verify_suite
-from .words import LyndonWord, evaluate_word, is_lyndon, lyndon_basis
+from .words import LyndonWord, WordEvaluator, is_lyndon, lyndon_basis
 
 EXIT_FAILURE = 1
 EXIT_INPUT = 2
@@ -159,7 +159,7 @@ def eval_word(algebra, file, word, element_path):
         raise InputError(f"{word!r} is not a Lyndon word over X, Y")
     z = _load_element(element_path, alg.dim)
     ez = decompose(cd, z)
-    result = evaluate_word(alg, LyndonWord.parse(word), ez.x, ez.y)
+    result = WordEvaluator(alg, ez.x, ez.y).value(LyndonWord.parse(word))
     _emit({
         "word": word,
         "value": [str(c) for c in result],

@@ -8,14 +8,14 @@ over the Gaussian integers: gaussian_rows clears a vector list by the lcm
 of its denominators, gaussian_dot, gaussian_matvec and gaussian_matmul
 take exact (re, im) integer products, and gaussian_scalar divides a
 result back into a Scalar where it is reported.  pairing_matrix builds
-every Gram this way (certificate Grams, the appendix a-basis Gram);
-separation_probe's word pairs and power traces, the invariance suite's
-residuals and equivariance oracle, and Lyndon-word evaluation use the
-same helpers.  nilpotency_exponent and is_nilpotent_matrix take a square
-matrix as (re, im) integer rows, such as the D ad u of
-algebra.ad_matrix, and power it over the Gaussian integers: (D m)^e =
-D^e m^e, so every zero test and exponent is that of m.  Elimination
-still runs over Scalars.
+every Gram this way, from (den, integer row) pairs and the Killing form
+as LieAlgebra.gaussian_killing clears it once per algebra; word-pair
+invariants, power traces, the invariance suite's residuals and oracle,
+and Lyndon-word evaluation use the same helpers.  nilpotency_exponent and
+is_nilpotent_matrix take a square matrix as (re, im) integer rows, such
+as the D ad u of algebra.ad_matrix, and power it over the Gaussian
+integers: (D m)^e = D^e m^e, so every zero test and exponent is that of
+m.  Elimination still runs over Scalars.
 Every rank, witness minor, reduced basis, nullspace, solve and
 span-membership test is an EchelonSpan pass over the rows in their given
 order, followed where needed by its rref().  The witness of a rank is the
@@ -66,12 +66,13 @@ def vec_is_zero(u: Vector) -> bool:
 
 def linear_combination(coeffs: Iterable, vectors: Iterable, dim: int) -> Vector:
     """Sum of c * v over paired coefficients and dim-vectors; zero
-    coefficients are skipped."""
+    coefficients and zero vector entries are skipped."""
     out = [ZERO] * dim
     for c, v in zip(coeffs, vectors):
         if c:
-            for i in range(dim):
-                out[i] = out[i] + c * v[i]
+            for i, a in enumerate(v):
+                if a:
+                    out[i] = out[i] + c * a
     return tuple(out)
 
 
@@ -131,21 +132,21 @@ def gaussian_scalar(z: tuple, den: int) -> Scalar:
     return Scalar(Fraction(re, den), Fraction(im, den))
 
 
-def pairing_matrix(vectors: Sequence, form: "MatrixQ") -> "MatrixQ":
-    """The Gram matrix of u_a . (form u_b) over vectors, computed on and
+def pairing_matrix(pairs: Sequence[tuple], form: tuple) -> "MatrixQ":
+    """The Gram matrix of u_a . (F u_b), each u = row / d given as a pair
+    (d, row) with row in (re, im) integer pairs, and F = rows / K given as
+    form = (K, rows), the way gaussian_rows clears it.  Computed on and
     above the diagonal and mirrored below it (symmetric for a symmetric
     form), with one Scalar per computed entry."""
-    scale, rows = gaussian_rows(vectors)
-    form_scale, form_rows = gaussian_rows(form.row(i) for i in range(form.rows))
-    images = [gaussian_matvec(form_rows, w) for w in rows]
-    den = scale * scale * form_scale
-    m = len(rows)
+    form_scale, form_rows = form
+    images = [gaussian_matvec(form_rows, row) for _, row in pairs]
+    m = len(pairs)
     flat = [ZERO] * (m * m)
-    for a in range(m):
-        u = rows[a]
+    for a, (den, u) in enumerate(pairs):
+        den *= form_scale
         for b in range(a, m):
             flat[a * m + b] = flat[b * m + a] = gaussian_scalar(
-                gaussian_dot(u, images[b]), den)
+                gaussian_dot(u, images[b]), den * pairs[b][0])
     return MatrixQ(m, m, flat)
 
 

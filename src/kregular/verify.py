@@ -182,17 +182,18 @@ def _suite_regularity(alg, cd, rng, samples, box, datum) -> list:
         "on regularity for every input",
     )
     n = alg.dim
-    elements = [decompose(cd, sample_element(alg, rng, box))
+    # (z, certificate or None), as the constructed element carries one
+    elements = [(sample_element(alg, rng, box), None)
                 for _ in range(samples)]
     if datum is not None:
         try:
-            elements.append(construct_regular(alg, cd, datum))
+            ez = construct_regular(alg, cd, datum)
+            elements.append((ez.z, ez.certificate))
         except SoundnessError as exc:
             agreement.check(False, str(exc))
-    for ez in elements:
+    for z, cert in elements:
         try:
-            # the constructed element already carries its certificate
-            cert = ez.certificate or is_k_regular(alg, cd, ez.z)
+            cert = cert or is_k_regular(alg, cd, z)
         except SoundnessError as exc:
             agreement.check(False, str(exc))
             continue
@@ -232,8 +233,7 @@ def _suite_invariance(alg, cd, rng, samples, box, datum) -> list:
         "[u, value] for every k-basis direction u",
     )
     words = [w for group in lyndon_basis(4) for w in group]
-    n = alg.dim
-    killing = gaussian_rows(alg.killing.row(i) for i in range(n))
+    killing = alg.gaussian_killing()
     for _ in range(samples):
         z = sample_element(alg, rng, box)
         ez = decompose(cd, z)
@@ -386,7 +386,9 @@ def _suite_appendix(alg, cd, rng, samples, box, datum) -> list:
     zeta.check(coeffs is not None and bool(zeta_value(datum, coeffs)),
                "zeta vanishes at the chosen y")
 
-    a_gram = pairing_matrix(datum.a_basis, alg.killing)
+    scale, rows = gaussian_rows(datum.a_basis)
+    a_gram = pairing_matrix([(scale, row) for row in rows],
+                            alg.gaussian_killing())
     for i in datum.positive:
         root = datum.roots[i]
         h_nu = _killing_dual_in_a(alg, datum, a_gram, root)

@@ -8,11 +8,11 @@ memoising shared subtrees; a dual-number variant computes exact
 first-order directional derivatives along a perturbation (dx, dy).
 
 Both evaluators run over the Gaussian integers: x and y (and dx, dy) are
-cleared once by one common denominator D, each subtree is an
-algebra.gaussian_bracket of its children, and value() divides back to
-Scalars.  A degree-d word's integer entries are its value times
-S^(d-1) D^d, S the structure table's denominator (gaussian_table), and
-its derivative shares that denominator.
+cleared once by one common denominator D, and each subtree is an
+algebra.gaussian_bracket of its children.  gaussian_value gives a
+degree-d word's integer entries, its value times S^(d-1) D^d, S the
+structure table's denominator (gaussian_table), with that denominator,
+which its derivative shares; value() divides them back to Scalars.
 """
 
 from __future__ import annotations
@@ -162,7 +162,6 @@ class WordEvaluator:
         self.alg = alg
         self._scale, (gx, gy) = _gaussian_leaves(alg, (x, y))
         self._cache = {"X": gx, "Y": gy}
-        self._values = {}
 
     def _eval(self, tree) -> tuple:
         v = self._cache.get(tree)
@@ -179,18 +178,9 @@ class WordEvaluator:
                 self._eval(word.bracketing))
 
     def value(self, word: LyndonWord) -> Vector:
-        v = self._values.get(word.bracketing)
-        if v is None:
-            den, row = self.gaussian_value(word)
-            v = tuple(gaussian_scalar(z, den) for z in row)
-            self._values[word.bracketing] = v
-        return v
-
-
-def evaluate_word(alg: LieAlgebra, word: LyndonWord,
-                  x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
-    """The word's bracketing evaluated with X -> x, Y -> y."""
-    return WordEvaluator(alg, x, y).value(word)
+        """The word's bracketing evaluated with X -> x, Y -> y."""
+        den, row = self.gaussian_value(word)
+        return tuple(gaussian_scalar(z, den) for z in row)
 
 
 @dataclass(frozen=True)
@@ -210,7 +200,6 @@ class DualWordEvaluator:
         self._scale, (gx, gy, gdx, gdy) = _gaussian_leaves(
             alg, (x, y, dx, dy))
         self._cache = {"X": (gx, gdx), "Y": (gy, gdy)}
-        self._values = {}
 
     def _eval(self, tree) -> tuple:
         v = self._cache.get(tree)
@@ -232,10 +221,6 @@ class DualWordEvaluator:
                 *self._eval(word.bracketing))
 
     def value(self, word: LyndonWord) -> DualVector:
-        v = self._values.get(word.bracketing)
-        if v is None:
-            den, value, deriv = self.gaussian_value(word)
-            v = DualVector(tuple(gaussian_scalar(z, den) for z in value),
-                           tuple(gaussian_scalar(z, den) for z in deriv))
-            self._values[word.bracketing] = v
-        return v
+        den, value, deriv = self.gaussian_value(word)
+        return DualVector(tuple(gaussian_scalar(z, den) for z in value),
+                          tuple(gaussian_scalar(z, den) for z in deriv))

@@ -121,16 +121,42 @@ def test_sparse_table_matches_dense_reference(alg):
 
 
 def test_repeated_index_matches_dense_reference():
-    # [b0, b1] lists b0 twice and [b1, b2] lists b1 twice, cancelling: ad
-    # sums a repeated index (B_01 = 3), while table() keeps the last
-    # coefficient ([b1, b2] = -b1), so triple (0, 1, 2) fails Jacobi
+    # [b0, b1] lists b0 twice and [b1, b2] lists b1 twice, cancelling: the
+    # table sums a repeated index for every reader, so [b0, b1] = 3 b0
+    # (B_01 = 3) and [b1, b2] = 0, and triple (0, 1, 2) satisfies Jacobi
     structure = {(0, 1): ((0, ONE), (0, Scalar(2))),
                  (1, 0): ((1, ONE),),
                  (1, 2): ((1, ONE), (1, -ONE))}
     alg = LieAlgebra("repeated", 3, structure)
     _assert_matches_dense_reference(alg)
     assert alg.killing[0, 1] == Scalar(3)
-    assert validate(alg).checks[1].detail == "jacobi(0,1,2)"
+    assert alg.structure == {(0, 1): ((0, Scalar(3)),), (1, 0): ((1, ONE),)}
+    jacobi = validate(alg).checks[1]
+    assert jacobi.name == "jacobi" and jacobi.passed and jacobi.detail == ""
+
+
+def test_repeated_index_is_read_once_by_every_check():
+    # [b0, b1] = b2 + b2 = 2 b2 and [b1, b0] = -b2 is not antisymmetric,
+    # as bracket, ad and the Killing form see it; the table and the
+    # validate checks must see the same sum
+    alg = LieAlgebra("bad", 3, {(0, 1): ((2, ONE), (2, ONE)),
+                                (1, 0): ((2, -ONE),)})
+    b0, b1 = alg.basis_vector(0), alg.basis_vector(1)
+    assert bracket(alg, b0, b1) == alg.table(0, 1) == vec(3, e2=2)
+    assert bracket(alg, b1, b0) == alg.table(1, 0) == vec(3, e2=-1)
+    antisymmetry = validate(alg).checks[0]
+    assert antisymmetry.name == "antisymmetry"
+    assert not antisymmetry.passed and antisymmetry.detail == "(0,1)"
+
+
+def test_canonical_table_keeps_catalog_entries_as_built():
+    # catalog and JSON tables come from _sparsify: no repeat, no zero, so
+    # the canonical table holds the very same term tuples
+    alg, _ = catalog_build("split-sl", 3)
+    rebuilt = LieAlgebra("copy", alg.dim, alg.structure)
+    assert rebuilt.structure == alg.structure
+    assert all(rebuilt.structure[ij] is terms
+               for ij, terms in alg.structure.items())
 
 
 def test_ad_matrix(sl2):

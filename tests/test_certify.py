@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kregular import certify, verify
+from kregular import catalog, certify, verify
 from kregular.algebra import (
     CartanDecomposition,
     ad_matrix,
@@ -685,3 +685,32 @@ def test_jobs_below_one_rejected(func, sl2):
     alg, cd = sl2
     with pytest.raises(ValueError, match="jobs"):
         func(alg, cd, Z_REG, jobs=0)
+
+
+def test_killing_form_is_cleared_once_per_algebra():
+    # a fresh sl(3), past catalog_build's cache: building and validating it
+    # clears nothing; the first certificate clears the Killing form, and
+    # the later certificates, in either mode, and a separation probe read
+    # that one object and never the Scalar matrix again
+    alg, cd = catalog.catalog_build.__wrapped__("split-sl", 3)
+    assert alg._gaussian_killing is None
+    assert is_k_regular(alg, cd, Z_SL3).verdict == "k-regular"
+    cleared = alg._gaussian_killing
+    assert cleared == gaussian_rows(alg.killing.row(i) for i in range(8))
+    alg.killing = None
+    assert nilcone_test(alg, cd, Z_SL3).verdict == "k-regular"
+    assert gram_matrix(alg, cd, Z_SL3, mode="reduced").rank == 8
+    assert separation_probe(alg, cd, Z_SL3, Z_SL3, degree_cap=2) is None
+    assert alg._gaussian_killing is cleared
+
+
+def test_certificate_path_builds_no_scalar_word_value(sl3, monkeypatch):
+    # full-mode Grams and separation probes pair the integer word rows
+    alg, cd = sl3
+
+    def refuse(self, word):
+        raise AssertionError(f"Scalar value of word {word}")
+
+    monkeypatch.setattr(WordEvaluator, "value", refuse)
+    assert is_k_regular(alg, cd, Z_SL3).mode == "full"
+    assert separation_probe(alg, cd, Z_SL3, Z_SL3, degree_cap=3) is None

@@ -542,6 +542,17 @@ def test_package_modules_read_every_name_they_import():
             assert not _unread_imports(tree), path.name
 
 
+def test_only_algebra_reads_the_scalar_killing_matrix():
+    """Every Killing pairing outside algebra.py reads the form as the
+    algebra clears it once, LieAlgebra.gaussian_killing()."""
+    reads = [f"{path.name}:{n.lineno}"
+             for path in sorted(PACKAGE_DIR.glob("*.py"))
+             if path.name != "algebra.py"
+             for n in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(n, ast.Attribute) and n.attr == "killing"]
+    assert not reads
+
+
 def _system_trees():
     """Parsed modules of the package, the benchmark and the demos: the
     code whose reads make a public name part of the system."""

@@ -5,7 +5,8 @@ split.
 The references are in-file copies of the code each kernel replaced: the
 Scalar Gram build (each vector paired with the Killing matrix applied to
 the other through vec_dot, entry by entry, on and above the diagonal),
-the invariance residuals as one integer dot product each, the power
+the pairing of Scalar vectors that cleared them and the form on every
+call, the invariance residuals as one integer dot product each, the power
 traces of ad z from a running MatrixQ.matmul product, and decompose
 through the projections (1 +/- theta)/2.  ad_matrix's integer rows are
 tested against ad u built column by column from the Scalar bracket
@@ -31,6 +32,7 @@ from kregular.catalog import catalog_build
 from kregular.linalg import (
     MatrixQ,
     gaussian_dot,
+    gaussian_matvec,
     gaussian_rows,
     gaussian_scalar,
     pairing_matrix,
@@ -40,6 +42,7 @@ from kregular.linalg import (
 from kregular.roots import catalog_datum
 from kregular.scalar import ZERO, Scalar
 from kregular.verify import sample_element
+from kregular.words import WordEvaluator, lyndon_basis
 
 from conftest import scalar_ad
 
@@ -52,6 +55,33 @@ def _old_gram_of_vectors(alg, vectors):
         for j in range(i, m):
             flat[i][j] = flat[j][i] = vec_dot(vectors[i], paired[j])
     return MatrixQ.from_rows(flat)
+
+
+def _scalar_pairing_matrix(vectors, form):
+    """pairing_matrix as it was when it took Scalar vectors and a MatrixQ
+    form: both cleared on every call, one common denominator."""
+    scale, rows = gaussian_rows(vectors)
+    form_scale, form_rows = gaussian_rows(form.row(i)
+                                          for i in range(form.rows))
+    images = [gaussian_matvec(form_rows, w) for w in rows]
+    den = scale * scale * form_scale
+    m = len(rows)
+    flat = [ZERO] * (m * m)
+    for a in range(m):
+        for b in range(a, m):
+            flat[a * m + b] = flat[b * m + a] = gaussian_scalar(
+                gaussian_dot(rows[a], images[b]), den)
+    return MatrixQ(m, m, flat)
+
+
+def _pairs(vectors):
+    """(den, row) pairs, each vector cleared by its own denominator."""
+    return [(scale, row) for scale, (row,) in
+            (gaussian_rows([v]) for v in vectors)]
+
+
+def _cleared(form):
+    return gaussian_rows(form.row(i) for i in range(form.rows))
 
 
 def _rescaled(alg, scales):
@@ -110,7 +140,7 @@ def test_gram_matches_old_scalar_build(data):
     entry = data.draw(st.sampled_from(
         (gaussian_integers, gaussian_rationals, entries)))
     vectors = data.draw(_vector_lists(alg.dim, entry))
-    gram = pairing_matrix(vectors, alg.killing)
+    gram = pairing_matrix(_pairs(vectors), alg.gaussian_killing())
     assert gram == _old_gram_of_vectors(alg, vectors)
     assert all(isinstance(e, Scalar) for e in gram.entries)
 
@@ -118,10 +148,35 @@ def test_gram_matches_old_scalar_build(data):
 @pytest.mark.parametrize("alg", (SL2, SL3, SL3_RESCALED),
                          ids=("sl2", "sl3", "sl3-rescaled"))
 def test_gram_of_no_vectors_and_of_zero_vectors(alg):
-    assert pairing_matrix([], alg.killing) == MatrixQ(0, 0, ())
+    form = alg.gaussian_killing()
+    assert pairing_matrix([], form) == MatrixQ(0, 0, ())
     zeros = [(ZERO,) * alg.dim] * 3
-    assert pairing_matrix(zeros, alg.killing) == MatrixQ(3, 3, (ZERO,) * 9)
+    assert pairing_matrix(_pairs(zeros), form) == MatrixQ(3, 3, (ZERO,) * 9)
     assert _old_gram_of_vectors(alg, zeros) == MatrixQ(3, 3, (ZERO,) * 9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_pairing_of_word_rows_matches_scalar_pairing(su21, data):
+    # word rows of degrees 1-6 have denominators S^(d-1) D^d, mixed within
+    # one Gram; zero rows come from a zero x or y, and the empty list
+    # from no words
+    alg = data.draw(st.sampled_from((SL2, SL3, su21[0], SL3_RESCALED)))
+    entry = data.draw(st.sampled_from((gaussian_integers, gaussian_rationals,
+                                       entries)))
+    x, y = (data.draw(st.one_of(
+        st.just((ZERO,) * alg.dim),
+        st.lists(entry, min_size=alg.dim, max_size=alg.dim).map(tuple)))
+        for _ in range(2))
+    words = [w for group in lyndon_basis(data.draw(st.integers(1, 6)))
+             for w in group]
+    words = words[:data.draw(st.integers(0, len(words)))]
+    ev = WordEvaluator(alg, x, y)
+    pairs = [ev.gaussian_value(w) for w in words]
+    values = [ev.value(w) for w in words]
+    gram = pairing_matrix(pairs, alg.gaussian_killing())
+    assert gram == _scalar_pairing_matrix(values, alg.killing)
+    assert gram == _old_gram_of_vectors(alg, values)
 
 
 @settings(max_examples=80, deadline=None)
@@ -134,7 +189,8 @@ def test_pairing_matches_vec_dot_for_any_form(case):
     # above the diagonal, are u_a . (F u_b); those below mirror them
     form_rows, vectors = case
     form = MatrixQ.from_rows(form_rows)
-    gram = pairing_matrix(vectors, form)
+    gram = pairing_matrix(_pairs(vectors), _cleared(form))
+    assert gram == _scalar_pairing_matrix(vectors, form)
     for a, u in enumerate(vectors):
         for b in range(a, len(vectors)):
             assert gram[a, b] == vec_dot(u, form.matvec(vectors[b]))
@@ -274,7 +330,9 @@ def test_appendix_a_gram_matches_killing_pair_loop(su21, su21_datum):
         old = MatrixQ.from_rows([[killing_pair(alg, hi, hj)
                                   for hj in datum.a_basis]
                                  for hi in datum.a_basis])
-        assert pairing_matrix(datum.a_basis, alg.killing) == old
+        scale, rows = gaussian_rows(datum.a_basis)
+        assert pairing_matrix([(scale, row) for row in rows],
+                              alg.gaussian_killing()) == old
 
 
 @settings(max_examples=80, deadline=None)
@@ -289,7 +347,7 @@ def test_bounded_rank_profile_matches_unbounded(case):
     n, b_rows, vectors = case
     half = [[b_rows[i][j] if j <= i else b_rows[j][i] for j in range(n)]
             for i in range(n)]
-    gram = pairing_matrix(vectors, MatrixQ.from_rows(half))
+    gram = pairing_matrix(_pairs(vectors), _cleared(MatrixQ.from_rows(half)))
     assert rank_profile(gram, max_rank=n) == rank_profile(gram)
 
 

@@ -631,7 +631,9 @@ def test_matvec_and_matmul_match_old_loops(m, data):
 def test_gram_of_vectors_matches_old_loop(sl2, sl3, data):
     alg, _ = data.draw(st.sampled_from((sl2, sl3)))
     vectors = data.draw(_vectors(alg.dim, data.draw(st.integers(0, 5))))
-    assert pairing_matrix(vectors, alg.killing) \
+    scale, rows = gaussian_rows(vectors)
+    assert pairing_matrix([(scale, row) for row in rows],
+                          alg.gaussian_killing()) \
         == _old_gram_of_vectors(alg, vectors)
 
 

@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from kregular import words
 from kregular.words import (
     DualWordEvaluator,
     LyndonWord,
     WordEvaluator,
-    evaluate_word,
     is_lyndon,
     lyndon_basis,
     lyndon_words_of_degree,
@@ -85,9 +85,9 @@ def test_evaluation_on_sl2(sl2):
     ez = decompose(cd, z)
     assert ez.x == vec(3, e1=1, e2=-1)
     assert ez.y == vec(3, e0=1)
-    xy = evaluate_word(alg, LyndonWord.parse("XY"), ez.x, ez.y)
+    xy = WordEvaluator(alg, ez.x, ez.y).value(LyndonWord.parse("XY"))
     assert xy == vec(3, e1=-2, e2=-2)  # [e - f, h] = -2e - 2f
-    xxy = evaluate_word(alg, LyndonWord.parse("XXY"), ez.x, ez.y)
+    xxy = WordEvaluator(alg, ez.x, ez.y).value(LyndonWord.parse("XXY"))
     assert xxy == bracket(alg, ez.x, xy)
 
 
@@ -117,7 +117,8 @@ def test_dual_evaluation_product_rule(sl2):
     dy = vec(3, e0=2)
     dv = DualWordEvaluator(alg, ez.x, ez.y, dx, dy).value(
         LyndonWord.parse("XY"))
-    assert dv.value == evaluate_word(alg, LyndonWord.parse("XY"), ez.x, ez.y)
+    assert dv.value == WordEvaluator(alg, ez.x, ez.y).value(
+        LyndonWord.parse("XY"))
     expected = vec_add(bracket(alg, dx, ez.y), bracket(alg, ez.x, dy))
     assert dv.deriv == expected
 
@@ -138,7 +139,7 @@ def test_dual_evaluation_matches_epsilon_expansion(sl3):
         def at(s):
             xs = tuple(a + Scalar(s) * b for a, b in zip(ez.x, dx))
             ys = tuple(a + Scalar(s) * b for a, b in zip(ez.y, dy))
-            return evaluate_word(alg, w, xs, ys)
+            return WordEvaluator(alg, xs, ys).value(w)
 
         f1, fm1, f2, fm2 = at(1), at(-1), at(2), at(-2)
         twelfth = Scalar(1) / Scalar(12)
@@ -149,14 +150,25 @@ def test_dual_evaluation_matches_epsilon_expansion(sl3):
         assert dv.deriv == deriv
 
 
-def test_dual_evaluator_shares_cache(sl2):
+def test_dual_evaluator_shares_cache(sl2, monkeypatch):
+    # a word read again brackets nothing: its subtrees are kept, while its
+    # Scalar value is divided out afresh
     alg, cd = sl2
     z = vec(3, e0=1, e1=2, e2=3)
     ez = decompose(cd, z)
     dev = DualWordEvaluator(alg, ez.x, ez.y, ez.x, ez.y)
+    calls = []
+    gaussian_bracket = words.gaussian_bracket
+
+    def counting(*args):
+        calls.append(args)
+        return gaussian_bracket(*args)
+
+    monkeypatch.setattr(words, "gaussian_bracket", counting)
     a = dev.value(LyndonWord.parse("XXY"))
+    made = len(calls)
     b = dev.value(LyndonWord.parse("XXY"))
-    assert a is b
+    assert a == b and made == 6 and len(calls) == made
 
 
 class _ScalarWordEvaluator:
