@@ -6,11 +6,14 @@ it holds one nonzero coefficient per output index.  The Killing matrix is
 computed from it at construction; gaussian_killing clears it once, on
 first use, for every Killing pairing of word values or basis vectors.
 
-Two brackets read the table.  gaussian_bracket works on vectors of
+Three brackets read the table.  gaussian_bracket works on vectors of
 (re, im) integer pairs, over the table cleared of denominators by their
 lcm S (LieAlgebra.gaussian_table, built on first use); Lyndon-word
-evaluation runs on it.  bracket works on Scalar vectors and serves the
-filtration, centralizer, derived series and validate().  ad_matrix builds
+evaluation runs on it.  modp_bracket reduces that same cleared table mod
+a prime p, with i sent to a square root of -1, for the filtration over
+F_p that proves the stabilization bound.  bracket works on Scalar vectors
+and serves the exact filtration, centralizer, derived series and
+validate().  ad_matrix builds
 ad u over the Gaussian integers too, as (den, rows) with rows = den * ad u
 in (re, im) integer pairs, which the nilpotency tests, power traces and
 the invariance suite's equivariance oracle multiply as they are.  It walks
@@ -196,6 +199,33 @@ def gaussian_bracket(alg: LieAlgebra, u: Sequence[tuple],
                         out_re[k] += re * sr - im * si
                         out_im[k] += re * si + im * sr
     return tuple(zip(out_re, out_im))
+
+
+def modp_bracket(alg: LieAlgebra, p: int, s: int):
+    """The map (u, v) -> S [u, v] mod p on vectors of integers mod p, for
+    p prime and s^2 = -1 mod p: gaussian_table() with i sent to s.  When
+    p does not divide S it is the bracket of the image of g under i -> s,
+    up to the unit S."""
+    n = alg.dim
+    table = tuple(
+        (i, tuple((j, tuple((k, (re + im * s) % p) for k, re, im in terms))
+                  for j, terms in row))
+        for i, row in alg.gaussian_table()[1])
+
+    def bracket_mod_p(u: Sequence[int], v: Sequence[int]) -> tuple:
+        out = [0] * n
+        for i, row in table:
+            a = u[i]
+            if a:
+                for j, terms in row:
+                    b = v[j]
+                    if b:
+                        c = a * b
+                        for k, t in terms:
+                            out[k] += c * t
+        return tuple(c % p for c in out)
+
+    return bracket_mod_p
 
 
 def ad_matrix(alg: LieAlgebra, u: Sequence[Scalar]) -> tuple:

@@ -23,6 +23,14 @@ linalg.pairing_matrix) and kept as a MatrixQ of Scalars; full mode pairs
 the word rows of WordEvaluator.gaussian_value as they are.  Its rank is
 eliminated only up to dim g: G = V^T B V with V made of dim g-vectors,
 so rank G <= dim g is a theorem about the Gram, not a cut-off.
+
+stabilization_bound runs the filtration's one loop, _filtration, over F_p
+for p = MODP_PRIME, sending i to MODP_I, a square root of -1 mod p.  That
+is a ring map which commutes with the bracket and under which ranks can
+only drop, so a full F_p span at degree m proves that the exact filtration
+stabilizes by degree m.  When p divides a denominator, or the F_p span
+falls short of dim g, it proves nothing and returns None; its caller then
+runs generated_subalgebra.  Certificates never read it.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice
 from typing import Optional, Sequence
 
@@ -42,11 +50,13 @@ from .algebra import (
     bracket,
     centralizer,
     decompose,
+    modp_bracket,
 )
 from .errors import GramSizeError, SoundnessError
 from .linalg import (
     EchelonSpan,
     MatrixQ,
+    ModpSpan,
     gaussian_dot,
     gaussian_matmul,
     gaussian_matvec,
@@ -65,6 +75,23 @@ from .words import WordEvaluator, lyndon_basis, witt_dimension
 # sl(3), su(2,1)) and only g(z)'s spanning vectors from dim g = 14 up
 # (sl(4), sl(5)), where the full side runs into the thousands.
 GRAM_LIMIT = 1500
+
+# stabilization_bound's field F_p: a prime p = 1 mod 4 and s with
+# s^2 = -1 mod p, the image of i; a test checks that p is prime
+MODP_PRIME = 1_000_000_009
+MODP_I = 430_477_711
+
+
+def _check_modp_constants(p: int, s: int) -> None:
+    """Raise SoundnessError unless p = 1 mod 4 and s^2 = -1 mod p, without
+    which i -> s is no ring map and a bound over F_p proves nothing."""
+    if p % 4 != 1 or (s * s + 1) % p:
+        raise SoundnessError(
+            f"i -> {s} mod {p} is not a ring map: need p = 1 mod 4 and "
+            "s^2 = -1 mod p")
+
+
+_check_modp_constants(MODP_PRIME, MODP_I)
 
 VERDICT_REGULAR = "k-regular"
 VERDICT_NIL = "nil-k"
@@ -101,9 +128,10 @@ class SubalgebraReport:
         }
 
 
-def generated_subalgebra(alg: LieAlgebra, cd: CartanDecomposition,
-                         z: Sequence[Scalar]) -> SubalgebraReport:
-    """Iterate the filtration from span{x, y} until it stabilizes.
+def _filtration(x, y, span, bracket_of, limit: int) -> Optional[tuple]:
+    """Run g_{m+1} = g_m + [x, g_m] + [y, g_m] from span{x, y} in span,
+    bracketing with bracket_of: (per_degree_dims, m) with m the degree it
+    stabilized at, or None if it ran past degree limit.
 
     Degree 2 is the one bracket [y, x].  The table is antisymmetric (as
     validate checks for every catalog and loaded algebra), so [x, x] and
@@ -113,6 +141,35 @@ def generated_subalgebra(alg: LieAlgebra, cd: CartanDecomposition,
     x, then y, would insert it, so the basis, and every Gram paired on
     it, is the one the full step gives.  Each later degree brackets the
     vectors the previous one added with x and y.
+    """
+    span.add(x)
+    span.add(y)
+    per_degree = [span.dim]
+    frontier = []
+    if span.dim == 2:
+        w = bracket_of(y, x)
+        if span.add(w):
+            frontier.append(w)
+    m = 1
+    while frontier:
+        per_degree.append(span.dim)
+        m += 1
+        if m > limit:
+            return None
+        new = []
+        for v in frontier:
+            for gen in (x, y):
+                w = bracket_of(gen, v)
+                if span.add(w):
+                    new.append(w)
+        frontier = new
+    return per_degree, m
+
+
+def generated_subalgebra(alg: LieAlgebra, cd: CartanDecomposition,
+                         z: Sequence[Scalar]) -> SubalgebraReport:
+    """Iterate the filtration (see _filtration) from span{x, y} until it
+    stabilizes, exactly over Q(i).
 
     Stabilization past dim g - 1 is a soundness bug, not an input error,
     and raises SoundnessError.
@@ -120,29 +177,12 @@ def generated_subalgebra(alg: LieAlgebra, cd: CartanDecomposition,
     ez = decompose(cd, z)
     n = alg.dim
     span = EchelonSpan(n)
-    span.add(ez.x)
-    span.add(ez.y)
-    per_degree = [span.dim]
-    frontier = []
-    if span.dim == 2:
-        w = bracket(alg, ez.y, ez.x)
-        if span.add(w):
-            frontier.append(w)
-    m = 1
-    while frontier:
-        per_degree.append(span.dim)
-        m += 1
-        if m > max(n - 1, 1):
-            raise SoundnessError(
-                f"filtration failed to stabilize by degree {n - 1}; "
-                "this contradicts the stabilization bound and is a bug")
-        new = []
-        for v in frontier:
-            for gen in (ez.x, ez.y):
-                w = bracket(alg, gen, v)
-                if span.add(w):
-                    new.append(w)
-        frontier = new
+    run = _filtration(ez.x, ez.y, span, partial(bracket, alg), max(n - 1, 1))
+    if run is None:
+        raise SoundnessError(
+            f"filtration failed to stabilize by degree {n - 1}; "
+            "this contradicts the stabilization bound and is a bug")
+    per_degree, m = run
     return SubalgebraReport(
         basis=list(span.basis),
         dim=span.dim,
@@ -151,6 +191,37 @@ def generated_subalgebra(alg: LieAlgebra, cd: CartanDecomposition,
         span=span,
         element=ez,
     )
+
+
+def stabilization_bound(alg: LieAlgebra, cd: CartanDecomposition,
+                        z: Sequence[Scalar]) -> Optional[int]:
+    """A proven bound on generated_subalgebra(...).stabilization_degree
+    when g(z) = g, from the same filtration run over F_p; else None.
+
+    With p = MODP_PRIME dividing neither S of gaussian_table() nor the
+    common denominator D of x and y, i -> s = MODP_I is a ring map from
+    Z[i][1/SD] onto F_p (s^2 = -1) that commutes with the bracket.  The
+    image of a spanning set of g_m spans the F_p filtration's W_m (up to
+    the units S and D), and ranks can only drop under the map, so
+    dim W_m <= dim g_m.  A full W at degree m thus gives g_m = g, and the
+    exact filtration stabilizes by degree m.
+
+    None when p divides S or D, when the F_p span falls short of dim g
+    (g(z) != g, or p is unlucky for z), or when the F_p run passes
+    degree max(dim g - 1, 1); the exact filtration then decides.
+    """
+    p, s = MODP_PRIME, MODP_I
+    ez = decompose(cd, z)
+    den, rows = gaussian_rows((ez.x, ez.y))
+    if den % p == 0 or alg.gaussian_table()[0] % p == 0:
+        return None
+    x, y = (tuple((re + im * s) % p for re, im in row) for row in rows)
+    n = alg.dim
+    span = ModpSpan(n, p)
+    run = _filtration(x, y, span, modp_bracket(alg, p, s), max(n - 1, 1))
+    if run is None or not span.full:
+        return None
+    return run[1]
 
 
 def centralizer_in_k(alg: LieAlgebra, cd: CartanDecomposition,

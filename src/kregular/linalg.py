@@ -21,7 +21,8 @@ span-membership test is an EchelonSpan pass over the rows in their given
 order, followed where needed by its rref().  The witness of a rank is the
 first independent rows and, within them, the first independent columns.
 All of it is exact, so rank + nullity is an identity, not an
-approximation.
+approximation.  ModpSpan is the one elimination outside Q(i): the same
+add over the integers mod a prime, for certify.stabilization_bound.
 """
 
 from __future__ import annotations
@@ -353,7 +354,7 @@ def nilpotency_exponent(rows: Sequence[Sequence[tuple]]):
 
 class EchelonSpan:
     """An incrementally built subspace with exact membership tests; the
-    package's only elimination routine.
+    package's only elimination routine over Q(i).
 
     Keeps the original inserted vectors (as a basis) alongside echelon
     rows, sorted by pivot column, for fast reduction; rref() derives the
@@ -431,3 +432,43 @@ class EchelonSpan:
             self.dim == other.dim
             and all(other.contains(v) for v in self.basis)
         )
+
+
+class ModpSpan:
+    """EchelonSpan's add, dim and full over F_p, p prime, for vectors of
+    integers: each row is kept reduced mod p with a unit pivot.  A full
+    span adds nothing more without reducing."""
+
+    def __init__(self, ambient_dim: int, p: int):
+        self.ambient_dim = ambient_dim
+        self.p = p
+        self._reduced = []  # list of (pivot_index, row), sorted by pivot
+
+    @property
+    def dim(self) -> int:
+        return len(self._reduced)
+
+    @property
+    def full(self) -> bool:
+        return len(self._reduced) == self.ambient_dim
+
+    def add(self, v: Sequence[int]) -> bool:
+        """Insert v; returns True if it enlarged the span."""
+        if len(v) != self.ambient_dim:
+            raise ValueError(f"expected length {self.ambient_dim}, got {len(v)}")
+        if self.full:
+            return False
+        p = self.p
+        w = [a % p for a in v]
+        for pc, row in self._reduced:
+            c = w[pc]
+            if c:
+                for j in range(pc, self.ambient_dim):
+                    w[j] = (w[j] - c * row[j]) % p
+        for pc, a in enumerate(w):
+            if a:
+                inv = pow(a, -1, p)
+                self._reduced.append((pc, [inv * b % p for b in w]))
+                self._reduced.sort(key=lambda t: t[0])
+                return True
+        return False

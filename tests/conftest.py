@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
@@ -33,6 +34,29 @@ def scalar_ad(alg, u):
     reference that ad_matrix's integer rows are tested against."""
     return MatrixQ.from_columns([bracket(alg, u, alg.basis_vector(j))
                                  for j in range(alg.dim)])
+
+
+def rescaled(alg, scales):
+    """alg in the basis s_i b_i: [s_i b_i, s_j b_j] = sum_k
+    (s_i s_j / s_k) c^k_ij (s_k b_k), so B'_ij = s_i s_j B_ij."""
+    lower = {(i, j): [Scalar(scales[i] * scales[j] / scales[k]) * c
+                      for k, c in enumerate(alg.table(i, j))]
+             for i in range(alg.dim) for j in range(i + 1, alg.dim)
+             if any(alg.table(i, j))}
+    return LieAlgebra.from_lower_table(alg.name + "-rescaled", alg.dim, lower)
+
+
+def rescaled_theta(cd, scales):
+    """theta in the basis s_i b_i: S^-1 theta S, S = diag(scales)."""
+    n = cd.theta.rows
+    return CartanDecomposition(MatrixQ.from_rows(
+        [[Scalar(Fraction(scales[j]) / scales[i]) * cd.theta[i, j]
+          for j in range(n)] for i in range(n)]))
+
+
+# basis scales that make the sl(3) table, Killing form and theta
+# non-integral
+SCALES = [Fraction(k + 1, 2 + k % 3) for k in range(8)]
 
 
 def count_filtrations(monkeypatch, *modules):
@@ -76,6 +100,12 @@ def sl3():
 @pytest.fixture(scope="session")
 def sl4():
     return catalog_build("split-sl", 4)
+
+
+@pytest.fixture(scope="session")
+def sl3_rescaled(sl3):
+    alg, cd = sl3
+    return rescaled(alg, SCALES), rescaled_theta(cd, SCALES)
 
 
 def _sl3_lower_table():

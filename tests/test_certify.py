@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,6 +24,7 @@ from kregular.certify import (
     nilcone_test,
     power_trace,
     separation_probe,
+    stabilization_bound,
 )
 from kregular.errors import GramSizeError, SoundnessError
 from kregular.linalg import (
@@ -508,6 +510,14 @@ def _generated_subalgebra_reference(alg, cd, z):
         m += 1
 
 
+def _theta_three(alg):
+    """A decomposition with theta = 3: x = 2z and y = -z, so y lies in
+    span{x}."""
+    return CartanDecomposition(MatrixQ.from_rows(
+        [[Scalar(3) if i == j else ZERO for j in range(alg.dim)]
+         for i in range(alg.dim)]))
+
+
 _FILTRATION_ENTRIES = st.one_of(
     st.just(ZERO), st.builds(Scalar, st.integers(-3, 3), st.integers(-2, 2)),
     st.builds(Scalar, st.fractions(-4, 4, max_denominator=6)))
@@ -527,15 +537,104 @@ def test_filtration_matches_reference(sl2, sl3, su21, sl4, algebra, part,
     ez = decompose(cd, z)
     z = {"z": z, "k": ez.x, "p": ez.y}[part]
     if dependent:
-        # theta = 3: x = 2z and y = -z, so y lies in span{x}
-        cd = CartanDecomposition(MatrixQ.from_rows(
-            [[Scalar(3) if i == j else ZERO for j in range(alg.dim)]
-             for i in range(alg.dim)]))
+        cd = _theta_three(alg)
     rep = generated_subalgebra(alg, cd, z)
     basis, per_degree, degree = _generated_subalgebra_reference(alg, cd, z)
     assert rep.basis == basis
     assert rep.per_degree_dims == per_degree
     assert rep.stabilization_degree == degree
+
+
+# sl(3) on the s(gl(2) x gl(1)) block H1, H2, E12, E21, and sl(4) on the
+# s(gl(3) x gl(1)) block: theta-stable, so g(z) stays in the block
+_BLOCK_ELEMENTS = {
+    "sl3": tuple(Scalar(k + 1, 2 - k) if k in (0, 1, 2, 4) else ZERO
+                 for k in range(8)),
+    "sl4": tuple(Scalar(k % 5 - 2, k % 3 + 1)
+                 if k in (0, 1, 2, 3, 4, 6, 7, 9, 10) else ZERO
+                 for k in range(15)),
+}
+
+_BOUND_ENTRIES = st.one_of(
+    st.just(ZERO), st.builds(Scalar, st.integers(-3, 3), st.integers(-3, 3)),
+    st.builds(Scalar, st.fractions(-4, 4, max_denominator=9),
+              st.fractions(-4, 4, max_denominator=9)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebra=st.sampled_from(("sl2", "sl3", "su21", "sl4", "sl3-rescaled")),
+       part=st.sampled_from(("z", "k", "p")), dependent=st.booleans(),
+       coords=st.lists(_BOUND_ENTRIES, min_size=15, max_size=15))
+@example(algebra="sl3", part="p", dependent=False, coords=[ONE] * 15)  # x = 0
+@example(algebra="sl3", part="k", dependent=False, coords=[ONE] * 15)  # y = 0
+@example(algebra="sl4", part="z", dependent=True, coords=[ONE] * 15)
+def test_stabilization_bound_is_the_exact_degree(sl2, sl3, su21, sl4,
+                                                 sl3_rescaled, algebra, part,
+                                                 dependent, coords):
+    """Whenever the F_p pass gives a bound, the exact filtration reaches
+    all of g and stabilizes at that very degree."""
+    alg, cd = {"sl2": sl2, "sl3": sl3, "su21": su21, "sl4": sl4,
+               "sl3-rescaled": sl3_rescaled}[algebra]
+    z = tuple(coords[:alg.dim])
+    ez = decompose(cd, z)
+    z = {"z": z, "k": ez.x, "p": ez.y}[part]
+    if dependent:
+        cd = _theta_three(alg)
+    bound = stabilization_bound(alg, cd, z)
+    rep = generated_subalgebra(alg, cd, z)
+    if bound is not None:
+        assert rep.dim == alg.dim
+        assert bound == rep.stabilization_degree
+
+
+def test_stabilization_bound_on_regular_and_deficient_elements(
+        sl2, sl3, su21, sl4, sl3_rescaled):
+    # the rescaled table is cleared by S > 1, which the F_p bracket carries
+    assert sl3_rescaled[0].gaussian_table()[0] > 1
+    rng = random.Random(5)
+    for alg, cd in (sl2, sl3, su21, sl4, sl3_rescaled):
+        for _ in range(3):
+            z = verify.sample_element(alg, rng)
+            rep = generated_subalgebra(alg, cd, z)
+            assert rep.dim == alg.dim
+            assert stabilization_bound(alg, cd, z) == rep.stabilization_degree
+    for (alg, cd), z in ((sl3, _BLOCK_ELEMENTS["sl3"]),
+                         (sl4, _BLOCK_ELEMENTS["sl4"])):
+        assert 2 < generated_subalgebra(alg, cd, z).dim < alg.dim
+        assert stabilization_bound(alg, cd, z) is None
+    alg, cd = sl3
+    for z in (vec(8), decompose(cd, Z_SL3).x):  # z = 0, and z in k
+        assert stabilization_bound(alg, cd, z) is None
+
+
+def test_stabilization_bound_leaves_unlucky_inputs_open(sl3, monkeypatch):
+    alg, cd = sl3
+    degree = generated_subalgebra(alg, cd, Z_SL3).stabilization_degree
+    assert stabilization_bound(alg, cd, Z_SL3) == degree
+    # a coordinate with denominator p has no image in F_p
+    over_p = (Scalar(Fraction(1, certify.MODP_PRIME)),) + Z_SL3[1:]
+    assert generated_subalgebra(alg, cd, over_p).dim == alg.dim
+    assert stabilization_bound(alg, cd, over_p) is None
+    # p = 13 with s = 5: 13 z maps to 0, while z itself stays decided
+    monkeypatch.setattr(certify, "MODP_PRIME", 13)
+    monkeypatch.setattr(certify, "MODP_I", 5)
+    assert stabilization_bound(alg, cd, Z_SL3) == degree
+    assert stabilization_bound(alg, cd, tuple(13 * a for a in Z_SL3)) is None
+
+
+def test_modp_constants_make_i_a_ring_map():
+    p, s = certify.MODP_PRIME, certify.MODP_I
+    assert p % 4 == 1 and (s * s + 1) % p == 0
+    certify._check_modp_constants(p, s)
+    # 11 = 3 mod 4 has no square root of -1; 4^2 + 1 = 17 is not 0 mod 13
+    for bad in ((11, 5), (13, 4), (p, s + 1)):
+        with pytest.raises(SoundnessError, match="ring map"):
+            certify._check_modp_constants(*bad)
+
+
+def test_modp_prime_is_prime():
+    sympy = pytest.importorskip("sympy")
+    assert sympy.isprime(certify.MODP_PRIME)
 
 
 def test_degree_two_of_the_filtration_is_one_bracket(sl2, sl4, monkeypatch):

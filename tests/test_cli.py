@@ -666,15 +666,33 @@ def test_unread_import_scan_flags_only_unread_names():
     assert _unread_imports(tree) == [("Optional", 3), ("j", 2)]
 
 
-def test_verify_all_passes_under_optimize():
+def _cli_subprocess(*args):
+    """Run python args in a subprocess that imports this package."""
     env = dict(os.environ)
     paths = [str(PACKAGE_DIR.parent), env.get("PYTHONPATH", "")]
     env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "kregular.cli", "verify", "-a", "sl2",
-         "--suite", "all", "--samples", "5"],
-        capture_output=True, text=True, env=env, timeout=300)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=300)
+
+
+def test_verify_all_passes_under_optimize():
+    proc = _cli_subprocess("-O", "-m", "kregular.cli", "verify", "-a", "sl2",
+                           "--suite", "all", "--samples", "5")
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["failures"] == 0
     assert all(r["checks_run"] > 0 for r in doc["records"])
+
+
+def test_stabilization_suite_gives_the_same_body_under_optimize():
+    # the F_p constants are checked by a raise, which -O keeps
+    bodies = []
+    for flags in ((), ("-O",)):
+        proc = _cli_subprocess(*flags, "-m", "kregular.cli", "verify", "-a",
+                               "sl3", "--suite", "stabilization")
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        del doc["wall_time_s"]
+        bodies.append(doc)
+    assert bodies[0] == bodies[1]
+    assert bodies[0]["records"][0]["checks_run"] == 100

@@ -5,18 +5,24 @@ Every value below was produced by the Fraction-based Gram build and the
 unbounded rank_profile.  A faster kernel must reproduce them exactly:
 mode, rank, verdict, witness indices and gram_hash of each certificate,
 the full Gram of one sl(3) element, and the body_dict() of three seeded
-verify runs.
+verify runs.  The stabilization-suite digests and the CLI stdout digests
+were produced when that suite ran the exact filtration on every sample;
+the F_p bound must leave them unchanged.
 """
 
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from kregular import catalog_build
+from click.testing import CliRunner
+
 from kregular.catalog import _coords_of
+from kregular.cli import main
 from kregular.certify import gram_matrix, is_k_regular, nilcone_test
 from kregular.scalar import I, ONE, ZERO, Scalar
 from kregular.verify import verify_suite
@@ -171,6 +177,29 @@ GOLDEN_REPORTS = {
 }
 
 
+# sha256 of the sorted-key JSON of body_dict() of the stabilization suite,
+# seed 20240601 and 100 samples, as acceptance #1 runs it
+GOLDEN_STABILIZATION = {
+    "sl2": ("9ded3cada9cada40d91d8ecb2f1faa09"
+            "d69d7f440d2ea7090d4e68eee20b3220"),
+    "sl3": ("2bf6e720bd9db6202647bc2ea7c022cd"
+            "369fa8be6139aa5660bfc6a5de7f6319"),
+    "sl4": ("ad24a9bfd603fdd616494ef1775f2497"
+            "f0c38ec168ab9496ecfd64959d1dedea"),
+}
+
+# sha256 of `kregular verify -a <algebra> --suite <suite>` stdout, default
+# seed and samples, with its wall_time_s line dropped
+GOLDEN_CLI_VERIFY = {
+    "sl2/stabilization": ("2a1e3a1aac31dd7a94f551c158db0d43"
+                          "7d4fff4404ff947747846d045f831e7c"),
+    "sl3/stabilization": ("d8514458fa82d91e4a31d9eb60a33fec"
+                          "f76fdc18a36b70d897a71f3516d86762"),
+    "sl2/all": ("9e763467f7590bd3686e047d746a2edf"
+                "4d6ae5fc68fd27e352039596ca9af922"),
+}
+
+
 def _algebra(key):
     return catalog_build("split-sl", int(key.split("/")[0][2:]))
 
@@ -206,3 +235,23 @@ def test_sl3_gram_matrix_is_golden():
 @pytest.mark.parametrize("key", sorted(GOLDEN_REPORTS))
 def test_report_body_is_golden(key):
     assert report_digest(key) == GOLDEN_REPORTS[key]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STABILIZATION))
+def test_stabilization_report_is_golden(name):
+    alg, cd = catalog_build("split-sl", int(name[2:]))
+    report = verify_suite(alg, cd, "stabilization", seed=20240601,
+                          samples=100)
+    assert _digest(report.body_dict()) == GOLDEN_STABILIZATION[name]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_CLI_VERIFY))
+def test_cli_verify_stdout_is_golden(key):
+    algebra, suite = key.split("/")
+    result = CliRunner().invoke(main, ["verify", "-a", algebra, "--suite",
+                                       suite])
+    assert result.exit_code == 0, result.output
+    assert result.output.count("wall_time_s") == 1
+    stdout = re.sub(r'\n  "wall_time_s": [0-9.e-]+', "", result.output)
+    assert hashlib.sha256(stdout.encode()).hexdigest() \
+        == GOLDEN_CLI_VERIFY[key]

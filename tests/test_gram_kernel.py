@@ -21,8 +21,6 @@ from hypothesis import given, settings, strategies as st
 
 from kregular import certify, linalg, verify
 from kregular.algebra import (
-    CartanDecomposition,
-    LieAlgebra,
     ad_matrix,
     decompose,
     killing_pair,
@@ -44,7 +42,7 @@ from kregular.scalar import ZERO, Scalar
 from kregular.verify import sample_element
 from kregular.words import WordEvaluator, lyndon_basis
 
-from conftest import scalar_ad
+from conftest import SCALES, rescaled, rescaled_theta, scalar_ad
 
 
 def _old_gram_of_vectors(alg, vectors):
@@ -84,30 +82,11 @@ def _cleared(form):
     return gaussian_rows(form.row(i) for i in range(form.rows))
 
 
-def _rescaled(alg, scales):
-    """alg in the basis s_i b_i: [s_i b_i, s_j b_j] = sum_k
-    (s_i s_j / s_k) c^k_ij (s_k b_k), so B'_ij = s_i s_j B_ij."""
-    lower = {(i, j): [Scalar(scales[i] * scales[j] / scales[k]) * c
-                      for k, c in enumerate(alg.table(i, j))]
-             for i in range(alg.dim) for j in range(i + 1, alg.dim)
-             if any(alg.table(i, j))}
-    return LieAlgebra.from_lower_table(alg.name + "-rescaled", alg.dim, lower)
-
-
-def _rescaled_theta(cd, scales):
-    """theta in the basis s_i b_i: S^-1 theta S, S = diag(scales)."""
-    n = cd.theta.rows
-    return CartanDecomposition(MatrixQ.from_rows(
-        [[Scalar(Fraction(scales[j]) / scales[i]) * cd.theta[i, j]
-          for j in range(n)] for i in range(n)]))
-
-
-SCALES = [Fraction(k + 1, 2 + k % 3) for k in range(8)]
 SL2, SL2_CD = catalog_build("split-sl", 2)
 SL3, SL3_CD = catalog_build("split-sl", 3)
 SL4, SL4_CD = catalog_build("split-sl", 4)
-SL3_RESCALED = _rescaled(SL3, SCALES)
-SL3_RESCALED_CD = _rescaled_theta(SL3_CD, SCALES)
+SL3_RESCALED = rescaled(SL3, SCALES)
+SL3_RESCALED_CD = rescaled_theta(SL3_CD, SCALES)
 
 gaussian_integers = st.builds(Scalar, st.integers(-9, 9), st.integers(-9, 9))
 # like the benchmark's wide class: 20-bit Gaussian integers and Gaussian

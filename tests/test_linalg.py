@@ -9,6 +9,7 @@ from kregular.catalog import catalog_build
 from kregular.linalg import (
     EchelonSpan,
     MatrixQ,
+    ModpSpan,
     gaussian_matmul,
     gaussian_rows,
     gaussian_scalar,
@@ -257,6 +258,39 @@ def test_echelon_span():
     assert span.equals(other)
     other.add((ZERO, ZERO, ONE))
     assert not span.equals(other)
+
+
+def test_modp_span():
+    span = ModpSpan(3, 13)
+    assert span.add((1, 2, 0))
+    # independent over Q, but 19 - 3 * 2 = 13 = 0 mod 13
+    assert not span.add((3, 19, 0))
+    assert span.add((0, 1, 5))
+    assert (span.dim, span.full) == (2, False)
+    assert not span.add((27, 3, -21))  # (1, 2, 0) + (0, 1, 5) mod 13
+    assert span.add((0, 0, 14))
+    assert (span.dim, span.full) == (3, True)
+    assert not span.add((4, 5, 6))
+    with pytest.raises(ValueError, match="length 3"):
+        span.add((1, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-9, 9), min_size=n, max_size=n), max_size=8)))
+def test_modp_span_matches_the_exact_span_on_small_integers(rows):
+    """Every minor of these rows is below p = 10^9 + 9 in absolute value
+    (Hadamard: (9 sqrt 6)^6 < 1.2 * 10^8), so a minor vanishes mod p only
+    if it vanishes; mod 13 the rank can only drop."""
+    n = len(rows[0]) if rows else 1
+    exact = EchelonSpan(n)
+    big, small = ModpSpan(n, 1_000_000_009), ModpSpan(n, 13)
+    for row in rows:
+        added = exact.add(tuple(Scalar(a) for a in row))
+        assert big.add(row) == added
+        small.add(row)
+    assert big.dim == exact.dim and big.full == exact.full
+    assert small.dim <= exact.dim
 
 
 @pytest.mark.parametrize("full", [False, True])

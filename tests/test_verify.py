@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -9,6 +10,7 @@ from kregular.catalog import catalog_build
 from kregular.cli import main
 from kregular.errors import SoundnessError
 from kregular.linalg import MatrixQ
+from kregular.scalar import ZERO, Scalar
 from kregular.algebra import LieAlgebra
 from kregular.verify import (
     SUITES,
@@ -179,6 +181,55 @@ def test_nilcone_suite_records_a_soundness_error(sl2, monkeypatch):
     assert cartan.failures == cartan.checks_run \
         == len(verify._sl2_curated(alg)) + 2
     assert "disagree" in cartan.first_counterexample
+
+
+_SL3_BLOCK = (0, 1, 2, 4)  # H1, H2, E12, E21: the s(gl(2) x gl(1)) block
+
+
+def _forced_samples(case):
+    """sample_element with each sample made one the F_p pass leaves open."""
+    original = verify.sample_element
+
+    def forced(alg, rng, box=verify.DEFAULT_BOX):
+        z = original(alg, rng, box)
+        if case == "unlucky-prime":  # zero mod 13
+            return tuple(13 * a for a in z)
+        if case == "denominator-p":
+            return (Scalar(Fraction(1, certify.MODP_PRIME)),) + z[1:]
+        return tuple(a if k in _SL3_BLOCK else ZERO for k, a in enumerate(z))
+
+    return forced
+
+
+@pytest.mark.parametrize("case", ["unlucky-prime", "denominator-p",
+                                  "deficient"])
+def test_stabilization_suite_falls_back_to_the_exact_filtration(
+        case, sl3, monkeypatch):
+    alg, cd = sl3
+    calls = count_filtrations(monkeypatch, verify)
+    plain = verify_suite(alg, cd, "stabilization", seed=4, samples=5)
+    # every plain sample is settled over F_p
+    assert plain.ok and not calls
+    monkeypatch.setattr(verify, "sample_element", _forced_samples(case))
+    if case == "unlucky-prime":
+        monkeypatch.setattr(certify, "MODP_PRIME", 13)
+        monkeypatch.setattr(certify, "MODP_I", 5)
+    report = verify_suite(alg, cd, "stabilization", seed=4, samples=5)
+    assert len(calls) == 5
+    assert report.body_dict() == plain.body_dict()
+
+
+def test_stabilization_fallback_records_a_soundness_error(sl3, monkeypatch):
+    alg, cd = sl3
+
+    def broken(*args):
+        raise SoundnessError("injected")
+
+    monkeypatch.setattr(verify, "sample_element", _forced_samples("deficient"))
+    monkeypatch.setattr(verify, "generated_subalgebra", broken)
+    rec, = verify_suite(alg, cd, "stabilization", seed=4, samples=2).records
+    assert (rec.checks_run, rec.failures) == (2, 2)
+    assert rec.first_counterexample == "injected"
 
 
 def test_unknown_suite_rejected(sl2):
