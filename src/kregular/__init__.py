@@ -1,11 +1,12 @@
 """Exact-arithmetic certificates for K-regularity and the K-unstable cone
 of a complexified Cartan decomposition g = k + p.
 
-Everything is computed over the Gaussian rationals: ranks are certified
-by exact division-based elimination over Fraction (the one kernel,
-linalg.EchelonSpan) with explicit nonsingular-minor witnesses,
-and nullcone membership by the vanishing of an exact Gram matrix of
-Lyndon-word evaluations together with nilpotency of the adjoint actions.
+Every verdict is exact over the Gaussian rationals: ranks are certified
+by exact division-based elimination over Fraction (linalg.EchelonSpan;
+its mod-p twin ModpSpan only proves the stabilization bound) with
+explicit nonsingular-minor witnesses, and nullcone membership by the
+vanishing of an exact Gram matrix of Lyndon-word evaluations together
+with nilpotency of the adjoint actions.
 """
 
 from .scalar import Scalar

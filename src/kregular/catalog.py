@@ -9,6 +9,7 @@ The involution is theta(X) = -X^T (the complexified split form).
 from __future__ import annotations
 
 import functools
+import re
 
 from .algebra import CartanDecomposition, LieAlgebra, validate
 from .errors import CatalogError, SoundnessError
@@ -122,9 +123,11 @@ def catalog_build(family: str, size: int) -> tuple:
 
 
 def parse_algebra_name(name: str) -> tuple:
-    """Accepts 'sl3' or 'split-sl:3'."""
-    if name.startswith("split-sl:"):
-        return "split-sl", int(name.split(":", 1)[1])
-    if name.startswith("sl") and name[2:].isdigit():
-        return "split-sl", int(name[2:])
+    """Accepts exactly 'sl<n>' or 'split-sl:<n>', n in ASCII digits."""
+    match = re.fullmatch(r"(?:sl|split-sl:)([0-9]+)", name)
+    if match is not None:
+        try:
+            return "split-sl", int(match[1])
+        except ValueError:  # past Python's digit limit
+            pass
     raise CatalogError(f"unrecognized catalog algebra name {name!r}")

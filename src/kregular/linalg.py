@@ -315,21 +315,21 @@ def _gaussian_is_zero(rows) -> bool:
     return all(z == (0, 0) for r in rows for z in r)
 
 
-def _check_square(rows: Sequence[Sequence[tuple]], dim: int) -> None:
-    if len(rows) != dim or any(len(r) != dim for r in rows):
-        raise ValueError(f"expected a {dim}x{dim} matrix")
+def _square_size(rows: Sequence[Sequence[tuple]]) -> int:
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError(f"expected a {n}x{n} matrix")
+    return n
 
 
-def is_nilpotent_matrix(rows: Sequence[Sequence[tuple]], dim: int) -> bool:
-    """True iff m^dim = 0 for the dim x dim matrix m given as rows of
+def is_nilpotent_matrix(rows: Sequence[Sequence[tuple]]) -> bool:
+    """True iff m^n = 0 for the square matrix m given as n rows of
     (re, im) integer pairs, computed by repeated squaring.  Any positive
     multiple D m of a Gaussian-rational matrix serves: (D m)^e = D^e m^e
     vanishes exactly when m^e does."""
-    _check_square(rows, dim)
-    if dim == 0:
-        return True
+    n = _square_size(rows)
     p, e = rows, 1
-    while e < dim:
+    while e < n:
         if _gaussian_is_zero(p):
             return True
         p = gaussian_matmul(p, p)
@@ -342,8 +342,7 @@ def nilpotency_exponent(rows: Sequence[Sequence[tuple]]):
     square matrix m given as rows of (re, im) integer pairs; an n x n
     nilpotent m has m^n = 0, so the powers stop at e = max(n, 1).  As in
     is_nilpotent_matrix, D m for any D > 0 has the exponent of m."""
-    n = len(rows)
-    _check_square(rows, n)
+    n = _square_size(rows)
     p, e = rows, 1
     while not _gaussian_is_zero(p):
         if e >= max(n, 1):

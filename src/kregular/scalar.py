@@ -1,7 +1,8 @@
 """Exact Gaussian-rational scalars: a + b*i with a, b rational.
 
-All arithmetic in the package runs through this class; nothing is ever
-rounded.  Both parts are fractions.Fraction.
+Inputs, reports and elimination use this class; bulk products run on
+(re, im) integer pairs, and the stabilization bound mod a prime.
+Nothing is ever rounded.  Both parts are fractions.Fraction.
 """
 
 from __future__ import annotations

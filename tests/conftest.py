@@ -14,11 +14,45 @@ from kregular import (
     bracket,
     catalog_build,
 )
+from kregular.catalog import _coords_of
 from kregular.scalar import ONE, ZERO
+
+
+# names that are neither 'sl<digits>' nor 'split-sl:<digits>' with ASCII
+# digits within Python's digit limit
+MALFORMED_CATALOG_NAMES = [
+    "split-sl:x", "split-sl:", "split-sl:3.0", "split-sl: 3", "split-sl:+3",
+    pytest.param("sl\u0663", id="sl-arabic-indic-3"),
+    pytest.param("sl" + "9" * 5000, id="sl-5000-nines"),
+]
 
 
 def sc(re=0, im=0):
     return Scalar(re, im)
+
+
+def matrix_element(n, entries):
+    """sl(n) coordinates of the traceless n x n matrix with the given
+    {(i, j): Scalar} entries (0-based), zero elsewhere."""
+    return tuple(_coords_of([[entries.get((i, j), ZERO) for j in range(n)]
+                             for i in range(n)], n))
+
+
+def _sl4_nil():
+    """x + y with y = u u^T and x = u v^T - v u^T for the isotropic plane
+    u = (3, 4, 5i, 0), v = (4, -3, 0, 5i): g(z) = span{x, y} is abelian."""
+    u = (Scalar(3), Scalar(4), Scalar(0, 5), ZERO)
+    v = (Scalar(4), Scalar(-3), ZERO, Scalar(0, 5))
+    return matrix_element(4, {(i, j): u[i] * u[j] + u[i] * v[j] - v[i] * u[j]
+                              for i in range(4) for j in range(4)})
+
+
+SL4_NIL = _sl4_nil()
+# (1+i)(E12 - E21) + (1-i)(E34 - E43), an element of k: B(x, x) = 0, so
+# its reduced Gram vanishes, but ad x is not nilpotent
+Z_SL4_ZERO_GRAM = matrix_element(
+    4, {(0, 1): Scalar(1, 1), (1, 0): Scalar(-1, -1),
+        (2, 3): Scalar(1, -1), (3, 2): Scalar(-1, 1)})
 
 
 def vec(dim, **coords):

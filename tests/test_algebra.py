@@ -12,11 +12,12 @@ from kregular.algebra import (
     killing_pair,
     validate,
 )
-from kregular.catalog import catalog_build
+from kregular.catalog import catalog_build, parse_algebra_name
+from kregular.errors import CatalogError
 from kregular.linalg import MatrixQ, vec_add, vec_dot, vec_is_zero
 from kregular.scalar import ONE, ZERO, Scalar
 
-from conftest import scalar_ad, vec
+from conftest import MALFORMED_CATALOG_NAMES, scalar_ad, vec
 
 
 def sl2_lower():
@@ -215,6 +216,17 @@ def test_catalog_validates(sl2, sl3, sl4):
     for alg, cd in (sl2, sl3, sl4):
         report = validate(alg, cd)
         assert report.ok, report.first_failure
+
+
+@pytest.mark.parametrize("name", MALFORMED_CATALOG_NAMES)
+def test_parse_algebra_name_refuses_all_but_ascii_digits(name):
+    with pytest.raises(CatalogError, match="unrecognized catalog algebra name"):
+        parse_algebra_name(name)
+
+
+@pytest.mark.parametrize("name", ["sl3", "split-sl:3", "sl03"])
+def test_parse_algebra_name_reads_sl3(name):
+    assert parse_algebra_name(name) == ("split-sl", 3)
 
 
 def test_validate_names_antisymmetry_defect():

@@ -13,7 +13,6 @@ from kregular.algebra import (
     decompose,
     killing_pair,
 )
-from kregular.catalog import _coords_of
 from kregular.certify import (
     centralizer_in_k,
     degree_bounds,
@@ -46,34 +45,19 @@ from kregular.words import (
     witt_dimension,
 )
 
-from conftest import count_filtrations, flip_regularity, scalar_ad, vec
+from conftest import (
+    SL4_NIL,
+    Z_SL4_ZERO_GRAM,
+    count_filtrations,
+    flip_regularity,
+    scalar_ad,
+    vec,
+)
 
 Z_REG = vec(3, e0=1, e1=1, e2=-1)  # h + e - f: x = e - f, y = h
 Z_NIL = tuple(a + I * (b + c) for a, b, c in zip(
     vec(3, e0=1), vec(3, e1=1), vec(3, e2=1)))  # h + i(e + f)
 Z_SL3 = tuple(Scalar((k * 3) % 5 - 2, k % 2) for k in range(8))
-
-
-def _sl4_element(entries):
-    """sl(4) coordinates of the matrix with the given {(i, j): Scalar}
-    entries (0-based), zero elsewhere."""
-    return tuple(_coords_of([[entries.get((i, j), ZERO) for j in range(4)]
-                             for i in range(4)], 4))
-
-
-def _sl4_nil():
-    """x + y with y = u u^T and x = u v^T - v u^T for the isotropic plane
-    u = (3, 4, 5i, 0), v = (4, -3, 0, 5i): g(z) = span{x, y} is abelian."""
-    u = (Scalar(3), Scalar(4), Scalar(0, 5), ZERO)
-    v = (Scalar(4), Scalar(-3), ZERO, Scalar(0, 5))
-    return _sl4_element({(i, j): u[i] * u[j] + u[i] * v[j] - v[i] * u[j]
-                         for i in range(4) for j in range(4)})
-
-
-# (1+i)(E12 - E21) + (1-i)(E34 - E43), an element of k: B(x, x) = 0, so
-# its reduced Gram vanishes, but ad x is not nilpotent
-Z_SL4_ZERO_GRAM = _sl4_element({(0, 1): Scalar(1, 1), (1, 0): Scalar(-1, -1),
-                                (2, 3): Scalar(1, -1), (3, 2): Scalar(-1, 1)})
 
 
 def test_generated_subalgebra(sl2):
@@ -649,7 +633,7 @@ def test_degree_two_of_the_filtration_is_one_bracket(sl2, sl4, monkeypatch):
 
     monkeypatch.setattr(certify, "bracket", counting)
     z_sl4 = tuple(Scalar(k % 3 - 1, (k * 2) % 3 - 1) for k in range(15))
-    for (alg, cd), z, dim, brackets in ((sl4, _sl4_nil(), 2, 1),
+    for (alg, cd), z, dim, brackets in ((sl4, SL4_NIL, 2, 1),
                                         (sl2, Z_REG, 3, 3),
                                         (sl4, z_sl4, 15, 27),
                                         (sl2, vec(3), 0, 0)):
@@ -681,7 +665,7 @@ def test_nilcone_test_splits_z_once(case, sl2, sl4, monkeypatch):
     """The certificate's filtration is the one decompose call; ad y is not
     built once ad x is known not to be nilpotent."""
     (alg, cd), z, ads = {"sl2-nil": (sl2, Z_NIL, 2),
-                         "sl4-nil": (sl4, _sl4_nil(), 2),
+                         "sl4-nil": (sl4, SL4_NIL, 2),
                          "sl4-zero-gram": (sl4, Z_SL4_ZERO_GRAM, 1)}[case]
     splits, built = [], []
 

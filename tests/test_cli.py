@@ -19,7 +19,7 @@ from kregular.cli import main
 from kregular.errors import SoundnessError
 from kregular.roots import catalog_datum
 
-from conftest import count_filtrations, vec
+from conftest import MALFORMED_CATALOG_NAMES, count_filtrations, vec
 
 
 @pytest.fixture
@@ -145,6 +145,22 @@ def test_jobs_below_one_is_input_error(runner, z_regular, command):
 def test_unknown_algebra_is_input_error(runner):
     result = runner.invoke(main, ["algebra", "info", "-a", "e8"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("name", MALFORMED_CATALOG_NAMES)
+def test_malformed_catalog_name_is_input_error(runner, name):
+    # only ASCII [0-9]+ after 'sl' or 'split-sl:' names a catalog algebra
+    result = runner.invoke(main, ["algebra", "info", "-a", name])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: unrecognized catalog algebra name")
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("name", ["sl3", "split-sl:3", "sl03"])
+def test_catalog_name_spellings_of_sl3(runner, name):
+    result = runner.invoke(main, ["algebra", "info", "-a", name])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["dim"] == 8
 
 
 def test_hall(runner):
@@ -540,6 +556,24 @@ def test_package_modules_read_every_name_they_import():
         if path.name != "__init__.py":
             tree = ast.parse(path.read_text(), str(path))
             assert not _unread_imports(tree), path.name
+
+
+def test_only_verify_suite_seeds_a_random_generator():
+    """Only the suites' samples are random, no oracle is: a random.Random
+    (or any other random.* call) is made only inside verify.verify_suite,
+    from the suite's own seed."""
+    calls = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = {id(n) for d in tree.body
+                   if path.name == "verify.py"
+                   and isinstance(d, ast.FunctionDef) and d.name == "verify_suite"
+                   for n in ast.walk(d)}
+        calls += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+                  if isinstance(n, ast.Call) and id(n) not in allowed
+                  and (ast.unparse(n.func).startswith("random.")
+                       or ast.unparse(n.func).endswith("Random"))]
+    assert not calls
 
 
 def test_only_algebra_reads_the_scalar_killing_matrix():

@@ -160,13 +160,13 @@ def int_rows(m):
 def test_nilpotency():
     shift = MatrixQ.from_rows([
         [ZERO, ONE, ZERO], [ZERO, ZERO, ONE], [ZERO, ZERO, ZERO]])
-    assert is_nilpotent_matrix(int_rows(shift), 3)
+    assert is_nilpotent_matrix(int_rows(shift))
     assert nilpotency_exponent(int_rows(shift)) == 3
     assert nilpotency_exponent(int_rows(zeros(2, 2))) == 1
     assert nilpotency_exponent(int_rows(MatrixQ.identity(2))) is None
     for bad in ([((0, 0),)] * 2, [((0, 0), (0, 0)), ((0, 0),)]):
         with pytest.raises(ValueError, match="2x2"):
-            is_nilpotent_matrix(bad, 2)
+            is_nilpotent_matrix(bad)
         with pytest.raises(ValueError, match="2x2"):
             nilpotency_exponent(bad)
 
@@ -221,7 +221,7 @@ def test_nilpotency_matches_char_poly_oracle():
         cp = _char_poly(m)
         assert len(cp) == d + 1 and cp[-1] == ONE
         is_t_to_d = all(not c for c in cp[:-1])
-        assert is_nilpotent_matrix(int_rows(m), d) == is_t_to_d
+        assert is_nilpotent_matrix(int_rows(m)) == is_t_to_d
         seen_nilpotent += is_t_to_d
     # strictly upper-triangular matrices keep the oracle honest on the
     # nilpotent side
@@ -230,7 +230,7 @@ def test_nilpotency_matches_char_poly_oracle():
                  else ZERO for j in range(d)] for i in range(d)]
         m = MatrixQ.from_rows(rows)
         assert all(not c for c in _char_poly(m)[:-1])
-        assert is_nilpotent_matrix(int_rows(m), d)
+        assert is_nilpotent_matrix(int_rows(m))
 
 
 def test_nilpotency_matches_power_oracle():
@@ -241,7 +241,7 @@ def test_nilpotency_matches_power_oracle():
         p = m
         for _ in range(n - 1):
             p = p.matmul(m)
-        assert is_nilpotent_matrix(int_rows(m), n) == p.is_zero()
+        assert is_nilpotent_matrix(int_rows(m)) == p.is_zero()
 
 
 def test_echelon_span():
@@ -747,7 +747,7 @@ def conjugated_nilpotents(draw):
 def test_nilpotency_exponent_matches_old_routine(m):
     e = _old_nilpotency_exponent(m)
     assert nilpotency_exponent(int_rows(m)) == e
-    assert is_nilpotent_matrix(int_rows(m), m.rows) == (e is not None)
+    assert is_nilpotent_matrix(int_rows(m)) == (e is not None)
 
 
 @pytest.mark.parametrize("m", [zeros(0, 0), MatrixQ.identity(1),
@@ -755,7 +755,7 @@ def test_nilpotency_exponent_matches_old_routine(m):
 def test_nilpotency_exponent_edge_cases_match_old_routine(m):
     e = _old_nilpotency_exponent(m)
     assert nilpotency_exponent(int_rows(m)) == e
-    assert is_nilpotent_matrix(int_rows(m), m.rows) == (e is not None)
+    assert is_nilpotent_matrix(int_rows(m)) == (e is not None)
 
 
 @settings(max_examples=100, deadline=None)

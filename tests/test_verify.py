@@ -4,14 +4,16 @@ from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 from kregular import certify, roots, verify, words
 from kregular.catalog import catalog_build
+from kregular.certify import derived_series, generated_subalgebra
 from kregular.cli import main
 from kregular.errors import SoundnessError
-from kregular.linalg import MatrixQ
-from kregular.scalar import ZERO, Scalar
-from kregular.algebra import LieAlgebra
+from kregular.linalg import MatrixQ, is_nilpotent_matrix, linear_combination
+from kregular.scalar import I, ONE, ZERO, Scalar
+from kregular.algebra import LieAlgebra, ad_matrix, decompose
 from kregular.verify import (
     SUITES,
     VerifyReport,
@@ -23,7 +25,13 @@ from kregular.words import witt_dimension
 
 import random
 
-from conftest import count_filtrations, flip_regularity
+from conftest import (
+    SL4_NIL,
+    Z_SL4_ZERO_GRAM,
+    count_filtrations,
+    flip_regularity,
+    matrix_element,
+)
 
 
 def test_all_suites_pass_on_sl2(sl2):
@@ -181,6 +189,87 @@ def test_nilcone_suite_records_a_soundness_error(sl2, monkeypatch):
     assert cartan.failures == cartan.checks_run \
         == len(verify._sl2_curated(alg)) + 2
     assert "disagree" in cartan.first_counterexample
+
+
+def _sampled_route(alg, rep) -> bool:
+    """The solvability route as it stood before the basis argument: ad is
+    also tested on 20 seeded random Q(i) members of g(z)."""
+    if rep.dim == 0:
+        return True
+    if derived_series(alg, rep.reduced_basis)[-1] != 0:
+        return False
+    rng = random.Random(20240601)
+    members = list(rep.basis)
+    for _ in range(20):
+        coeffs = [Scalar(rng.randint(-3, 3), rng.randint(-3, 3))
+                  for _ in rep.basis]
+        members.append(linear_combination(coeffs, rep.basis, alg.dim))
+    return all(is_nilpotent_matrix(ad_matrix(alg, w)[1]) for w in members)
+
+
+_GAUSS = st.builds(Scalar, st.integers(-2, 2), st.integers(-2, 2))
+# an sl(4) element whose g(z) is all of g, and y = u u^T for an isotropic
+# u in sl(3)
+_SL4_ANY = tuple(Scalar(k % 3 - 1, (k * 2) % 3 - 1) for k in range(15))
+_U3 = (Scalar(3), Scalar(4), Scalar(0, 5))
+_SL3_NIL = matrix_element(3, {(i, j): _U3[i] * _U3[j]
+                               for i in range(3) for j in range(3)})
+_SU21_BOREL = {(0, 1): ONE, (0, 2): ONE, (1, 2): ONE}
+
+
+@st.composite
+def _route_cases(draw):
+    """(algebra, kind, coordinates, expected answer or None).  Kind 'k'
+    or 'p' takes that part of the coordinates, so g(z) has dimension at
+    most 1; 'z' takes them as they are.  Nil constructions are y = u u^T
+    for an isotropic u on split sl(2) and sl(3), and an upper-triangular
+    matrix on su(2,1), whose involution Ad diag(1, 1, -1) keeps x and y
+    upper-triangular: g(z) is solvable, and nil exactly when the diagonal
+    is 0."""
+    name = draw(st.sampled_from(("sl2", "sl3", "su21")))
+    n = 2 if name == "sl2" else 3
+    kind = draw(st.sampled_from(("k", "p", "nil", "z")))
+    if kind != "nil":
+        return name, kind, tuple(draw(_GAUSS) for _ in range(n * n - 1)), None
+    if name == "su21":
+        d1, d2 = draw(_GAUSS), draw(_GAUSS)
+        entries = {(0, 0): d1, (1, 1): d2, (2, 2): -d1 - d2}
+        entries.update({(i, j): draw(_GAUSS)
+                        for i in range(3) for j in range(i + 1, 3)})
+        return name, "z", matrix_element(3, entries), None
+    m = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 5))
+    u = ((Scalar(m), I * m) if n == 2 else
+         (Scalar(m * m - k * k), Scalar(2 * m * k), I * (m * m + k * k)))
+    u = draw(st.permutations(u))
+    return name, "z", matrix_element(
+        n, {(i, j): u[i] * u[j] for i in range(n) for j in range(n)}), True
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_route_cases())
+@example(case=("sl2", "z", (ONE, ZERO, ZERO), False))  # h
+@example(case=("sl2", "z", (ZERO, ONE, -ONE), False))  # e - f
+@example(case=("sl2", "z", (ZERO, ZERO, ZERO), True))
+@example(case=("sl3", "z", _SL3_NIL, True))
+@example(case=("su21", "z", matrix_element(3, _SU21_BOREL), True))
+@example(case=("su21", "z", matrix_element(
+    3, {**_SU21_BOREL, (0, 0): ONE, (1, 1): -ONE}), False))
+@example(case=("sl4", "z", Z_SL4_ZERO_GRAM, False))
+@example(case=("sl4", "z", SL4_NIL, True))
+@example(case=("sl4", "p", _SL4_ANY, None))
+@example(case=("sl4", "z", _SL4_ANY, False))
+def test_basis_route_matches_the_sampled_route(sl2, sl3, sl4, su21, case):
+    """By Lie's theorem the basis of a solvable g(z) decides ad-nilpotency
+    on all of it, so the sampled members never change the answer."""
+    name, kind, coords, expected = case
+    alg, cd = {"sl2": sl2, "sl3": sl3, "sl4": sl4, "su21": su21}[name]
+    ez = decompose(cd, coords)
+    z = {"k": ez.x, "p": ez.y, "z": coords}[kind]
+    rep = generated_subalgebra(alg, cd, z)
+    answer = verify._is_nil_by_solvability(alg, rep)
+    assert answer == _sampled_route(alg, rep)
+    assert expected is None or answer == expected
 
 
 _SL3_BLOCK = (0, 1, 2, 4)  # H1, H2, E12, E21: the s(gl(2) x gl(1)) block
