@@ -11,7 +11,8 @@ Three brackets read the table.  gaussian_bracket works on vectors of
 lcm S (LieAlgebra.gaussian_table, built on first use); Lyndon-word
 evaluation runs on it.  modp_bracket reduces that same cleared table mod
 a prime p, with i sent to a square root of -1, for the filtration over
-F_p that proves the stabilization bound.  bracket works on Scalar vectors
+F_p that proves the stabilization bound; its reduced table is built once
+per algebra and (p, s).  bracket works on Scalar vectors
 and serves the exact filtration, centralizer, derived series and
 validate().  ad_matrix builds
 ad u over the Gaussian integers too, as (den, rows) with rows = den * ad u
@@ -20,6 +21,10 @@ the invariance suite's equivariance oracle multiply as they are.  It walks
 the table in a loop of its own, reading neither gaussian_table nor
 gaussian_bracket, so that oracle, which applies ad u to the word values,
 stays independent of word evaluation.
+
+decompose splits z over the integers too, on theta as
+CartanDecomposition.gaussian_theta clears it once, keeping only its
+nonzero entries: every catalog theta is a signed permutation.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .linalg import (
     MatrixQ,
     Vector,
     gaussian_rows,
+    gaussian_scalar,
     linear_combination,
     nullspace_of,
     rank_of,
@@ -46,8 +52,6 @@ if TYPE_CHECKING:
 
 # sparse bracket value: tuple of (basis_index, coefficient)
 SparseVec = tuple
-
-_HALF = ONE / 2
 
 
 def _sparsify(coeffs: Sequence[Scalar]) -> SparseVec:
@@ -87,7 +91,7 @@ class LieAlgebra:
     """
 
     __slots__ = ("name", "dim", "basis_labels", "structure", "killing", "family",
-                 "_gaussian", "_gaussian_killing")
+                 "_gaussian", "_gaussian_killing", "_modp_brackets")
 
     def __init__(self, name: str, dim: int, structure: dict,
                  basis_labels: Optional[Sequence[str]] = None,
@@ -101,6 +105,7 @@ class LieAlgebra:
         self.killing = self._compute_killing()
         self._gaussian = None
         self._gaussian_killing = None
+        self._modp_brackets = {}
 
     @classmethod
     def from_lower_table(cls, name: str, dim: int, lower: dict,
@@ -205,7 +210,14 @@ def modp_bracket(alg: LieAlgebra, p: int, s: int):
     """The map (u, v) -> S [u, v] mod p on vectors of integers mod p, for
     p prime and s^2 = -1 mod p: gaussian_table() with i sent to s.  When
     p does not divide S it is the bracket of the image of g under i -> s,
-    up to the unit S."""
+    up to the unit S.  Built once per algebra and (p, s), and kept."""
+    bracket_mod_p = alg._modp_brackets.get((p, s))
+    if bracket_mod_p is None:
+        bracket_mod_p = alg._modp_brackets[p, s] = _modp_bracket(alg, p, s)
+    return bracket_mod_p
+
+
+def _modp_bracket(alg: LieAlgebra, p: int, s: int):
     n = alg.dim
     table = tuple(
         (i, tuple((j, tuple((k, (re + im * s) % p) for k, re, im in terms))
@@ -282,7 +294,7 @@ def killing_pair(alg: LieAlgebra, u: Sequence[Scalar], v: Sequence[Scalar]) -> S
 class CartanDecomposition:
     """The involution theta and bases of its eigenspaces k (+1), p (-1)."""
 
-    __slots__ = ("theta", "k_basis", "p_basis")
+    __slots__ = ("theta", "k_basis", "p_basis", "_gaussian_theta")
 
     def __init__(self, theta: MatrixQ):
         if theta.cols != theta.rows:
@@ -291,6 +303,20 @@ class CartanDecomposition:
         ident = MatrixQ.identity(theta.rows)
         self.k_basis = tuple(nullspace_of(theta.sub(ident)))
         self.p_basis = tuple(nullspace_of(theta.add(ident)))
+        self._gaussian_theta = None
+
+    def gaussian_theta(self) -> tuple:
+        """(T, rows): theta's rows cleared by gaussian_rows, T the lcm of
+        its denominators, each row kept as the (j, re, im) integer triples
+        of its nonzero entries.  Built on first use and kept."""
+        if self._gaussian_theta is None:
+            scale, rows = gaussian_rows(
+                self.theta.row(i) for i in range(self.theta.rows))
+            self._gaussian_theta = scale, tuple(
+                tuple((j, re, im) for j, (re, im) in enumerate(row)
+                      if re or im)
+                for row in rows)
+        return self._gaussian_theta
 
     @property
     def dim_k(self) -> int:
@@ -318,10 +344,27 @@ class ElementZ:
 
 def decompose(cd: CartanDecomposition, z: Sequence[Scalar]) -> ElementZ:
     """Split z into its k-part x = (z + theta z)/2 and its p-part
-    y = z - x, from one theta matvec."""
+    y = (z - theta z)/2, over the integers: with z = u/D cleared by
+    gaussian_rows and theta = R/T by gaussian_theta, theta z = R u/(T D),
+    so x and y are (T u +/- R u)/(2 T D), divided back into Scalars."""
     z = tuple(z)
-    x = tuple((a + b) * _HALF for a, b in zip(z, cd.theta.matvec(z)))
-    return ElementZ(z=z, x=x, y=tuple(a - b for a, b in zip(z, x)))
+    scale, theta_rows = cd.gaussian_theta()
+    if len(z) != len(theta_rows):
+        raise ValueError("dimension mismatch")
+    den, (u,) = gaussian_rows((z,))
+    den *= 2 * scale
+    x, y = [], []
+    for (a, b), row in zip(u, theta_rows):
+        re = im = 0
+        for j, c, d in row:
+            p, q = u[j]
+            re += c * p - d * q
+            im += c * q + d * p
+        a *= scale
+        b *= scale
+        x.append(gaussian_scalar((a + re, b + im), den))
+        y.append(gaussian_scalar((a - re, b - im), den))
+    return ElementZ(z=z, x=tuple(x), y=tuple(y))
 
 
 @dataclass(frozen=True)

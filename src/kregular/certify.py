@@ -10,19 +10,32 @@ full while d(dim g) <= GRAM_LIMIT, that is up to dim g = 13, and reduced
 from dim g = 14 up.
 
 A certificate computes g(z) once and carries it as `subalgebra`, which
-reduced mode pairs, the regularity cross-check reads and the verify
-suites reuse; its `element` is the one split of z into x and y, which
-full mode evaluates words at and nilcone_test builds ad x and ad y from.
-is_k_regular and nilcone_test share that pipeline.  The filtration's
+reduced mode pairs and the verify suites reuse; its `element` is the one
+split of z into x and y, which full mode evaluates words at and
+nilcone_test builds ad x and ad y from.  is_k_regular and nilcone_test
+share that pipeline.  The nilpotency of ad x and ad y is tested on their
+Gaussian-integer rows from ad_matrix.
+
+Reduced mode runs the exact filtration, generated_subalgebra.  Its
 degree 2 is the single bracket [y, x], the only first-step bracket that
-antisymmetry leaves able to enlarge span{x, y}.  The nilpotency of ad x
-and ad y is tested on their Gaussian-integer rows from ad_matrix.
+antisymmetry leaves able to enlarge span{x, y}.
+
+Full mode runs no exact filtration.  Evaluation at (x, y) is a Lie
+homomorphism and the Lyndon words of degree <= m span the free Lie
+algebra up to degree m, so their values span the filtration step g_m.
+One EchelonSpan of the word values, taken in Lyndon order up to the
+first degree that adds nothing, thus gives g(z), its per-degree dims and
+its stabilization degree; the pivot words S form its basis.  The word
+values V up to the cap are V_S C with C of full row rank, so the Gram
+G = C^T G_SS C has the rank of G_SS, the Gram restricted to the pivot
+words inside the cap; its rank profile, with the pivots mapped back to
+word indices, is the one G itself has, as each non-pivot word row and
+column depends on earlier pivot ones.  The full Gram is still built for
+gram_hash.
 
 In both modes the Gram is built over the Gaussian integers (see
 linalg.pairing_matrix) and kept as a MatrixQ of Scalars; full mode pairs
-the word rows of WordEvaluator.gaussian_value as they are.  Its rank is
-eliminated only up to dim g: G = V^T B V with V made of dim g-vectors,
-so rank G <= dim g is a theorem about the Gram, not a cut-off.
+the word rows of WordEvaluator.gaussian_value as they are.
 
 stabilization_bound runs the filtration's one loop, _filtration, over F_p
 for p = MODP_PRIME, sending i to MODP_I, a square root of -1 mod p.  That
@@ -30,7 +43,14 @@ is a ring map which commutes with the bracket and under which ranks can
 only drop, so a full F_p span at degree m proves that the exact filtration
 stabilizes by degree m.  When p divides a denominator, or the F_p span
 falls short of dim g, it proves nothing and returns None; its caller then
-runs generated_subalgebra.  Certificates never read it.
+runs generated_subalgebra.
+
+The same F_p filtration cross-checks every full-mode certificate, in a
+different arithmetic and on a different spanning set: a full F_p span
+with a deficient word span, or a word stabilization degree above the F_p
+bound, is a SoundnessError, and a full word span that the F_p pass leaves
+open is compared with the exact generated_subalgebra.  Reduced mode keeps
+its check of the Gram rank against the exact filtration's dim.
 """
 
 from __future__ import annotations
@@ -100,9 +120,10 @@ VERDICT_NEITHER = "neither"
 
 @dataclass
 class SubalgebraReport:
-    """g(z) computed by the filtration g_{m+1} = g_m + [x, g_m] + [y, g_m].
+    """g(z) computed by the filtration g_{m+1} = g_m + [x, g_m] + [y, g_m],
+    or in full mode by the echelon of the word values that spans each g_m.
 
-    span, the filtration's own EchelonSpan, and element, the split
+    span, the EchelonSpan that computed it, and element, the split
     z = x + y it started from, stay out of to_dict(), repr and equality;
     reduced_basis, its RREF rows computed on first use, is what span-only
     checks read instead of eliminating basis again, and certificates read
@@ -210,9 +231,15 @@ def stabilization_bound(alg: LieAlgebra, cd: CartanDecomposition,
     (g(z) != g, or p is unlucky for z), or when the F_p run passes
     degree max(dim g - 1, 1); the exact filtration then decides.
     """
-    p, s = MODP_PRIME, MODP_I
     ez = decompose(cd, z)
-    den, rows = gaussian_rows((ez.x, ez.y))
+    return _modp_bound(alg, ez.x, ez.y)
+
+
+def _modp_bound(alg: LieAlgebra, x: Sequence[Scalar],
+                y: Sequence[Scalar]) -> Optional[int]:
+    """stabilization_bound for the split z = x + y."""
+    p, s = MODP_PRIME, MODP_I
+    den, rows = gaussian_rows((x, y))
     if den % p == 0 or alg.gaussian_table()[0] % p == 0:
         return None
     x, y = (tuple((re + im * s) % p for re, im in row) for row in rows)
@@ -222,6 +249,51 @@ def stabilization_bound(alg: LieAlgebra, cd: CartanDecomposition,
     if run is None or not span.full:
         return None
     return run[1]
+
+
+def _word_subalgebra(alg: LieAlgebra, ez: ElementZ,
+                     ev: WordEvaluator) -> tuple:
+    """(report, pivots): g(z) from one EchelonSpan of the Lyndon word
+    values at (x, y), in Lyndon order, and the indices of the pivot words
+    in that order.
+
+    The words of degree <= m span g_m, so the span after each degree is
+    the filtration's, and the first degree that adds nothing ends it; a
+    full span ends it at once, as the next degree can add nothing.  The
+    basis is the pivot words' values, each times its denominator from
+    gaussian_value.  Stabilization past dim g - 1 raises SoundnessError,
+    as in generated_subalgebra.
+    """
+    n = alg.dim
+    limit = max(n - 1, 1)
+    span = EchelonSpan(n)
+    pivots, per_degree = [], []
+    index = 0
+    for group in lyndon_basis(limit + 1):
+        dim = span.dim
+        for w in group:
+            if not span.full and span.add(
+                    tuple(Scalar(re, im) for re, im in ev.gaussian_value(w)[1])):
+                pivots.append(index)
+            index += 1
+        if per_degree and span.dim == dim:
+            break
+        per_degree.append(span.dim)
+        if span.full:
+            break
+    if len(per_degree) > limit:
+        raise SoundnessError(
+            f"word values failed to stabilize by degree {limit}; "
+            "this contradicts the stabilization bound and is a bug")
+    report = SubalgebraReport(
+        basis=list(span.basis),
+        dim=span.dim,
+        stabilization_degree=len(per_degree),
+        per_degree_dims=per_degree,
+        span=span,
+        element=ez,
+    )
+    return report, pivots
 
 
 def centralizer_in_k(alg: LieAlgebra, cd: CartanDecomposition,
@@ -243,8 +315,8 @@ class GramCertificate:
     # does not have to eliminate the same matrix twice
     pivot_rows: Optional[list] = None
     pivot_cols: Optional[list] = None
-    # g(z) from the certificate's one filtration; not part of to_dict()
-    # or gram_hash()
+    # g(z) as the certificate computed it once; not part of to_dict() or
+    # gram_hash()
     subalgebra: Optional[SubalgebraReport] = field(default=None, repr=False)
 
     def gram_hash(self) -> str:
@@ -292,9 +364,12 @@ def gram_matrix(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
                 mode: str = "full") -> GramCertificate:
     """Exact symmetric Gram matrix of Killing pairings; verdict unset.
 
-    Runs the filtration once, in either mode, and attaches g(z) as
-    cert.subalgebra.  The entries are Killing pairings over the Gaussian
-    integers, and the rank profile stops at dim g independent rows.
+    Computes g(z) once and attaches it as cert.subalgebra: from the word
+    echelon in full mode, from the exact filtration in reduced mode.  The
+    entries are Killing pairings over the Gaussian integers.  In full mode
+    the rank profile is eliminated on the pivot words' Gram G_SS alone
+    (see the module docstring), in reduced mode on the whole Gram, whose
+    side is dim g(z).
     """
     n = alg.dim
     cap = n if degree_cap is None else degree_cap
@@ -306,19 +381,25 @@ def gram_matrix(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
         raise GramSizeError(
             f"full Gram side d({cap}) exceeds limit {GRAM_LIMIT}; "
             "lower the degree cap or use reduced mode")
-    report = generated_subalgebra(alg, cd, z)
     if mode == "full":
-        ez = report.element
+        ez = decompose(cd, z)
         ev = WordEvaluator(alg, ez.x, ez.y)
-        pairs = [ev.gaussian_value(w) for group in lyndon_basis(cap)
-                 for w in group]
+        report, pivots = _word_subalgebra(alg, ez, ev)
+        words = [w for group in lyndon_basis(cap) for w in group]
+        gram = pairing_matrix([ev.gaussian_value(w) for w in words],
+                              alg.gaussian_killing())
+        inside = [i for i in pivots if i < len(words)]
+        rank, rows, cols = rank_profile(MatrixQ(
+            len(inside), len(inside),
+            [gram[a, b] for a in inside for b in inside]))
+        rows = [inside[r] for r in rows]
+        cols = [inside[c] for c in cols]
     else:
+        report = generated_subalgebra(alg, cd, z)
         scale, cleared = gaussian_rows(report.basis)
-        pairs = [(scale, row) for row in cleared]
-    gram = pairing_matrix(pairs, alg.gaussian_killing())
-    # G = V^T B V with V's columns in g, so rank G <= dim g: elimination
-    # stops there (not at dim g(z), which the rank-bound check tests)
-    rank, rows, cols = rank_profile(gram, max_rank=n)
+        gram = pairing_matrix([(scale, row) for row in cleared],
+                              alg.gaussian_killing())
+        rank, rows, cols = rank_profile(gram)
     return GramCertificate(degree_cap=cap, mode=mode, gram=gram,
                            rank=rank, dim_g=n, pivot_rows=rows,
                            pivot_cols=cols, subalgebra=report)
@@ -328,20 +409,51 @@ def _feasible_mode(alg: LieAlgebra) -> str:
     return "full" if _full_gram_fits(alg.dim) else "reduced"
 
 
+def _check_words_over_fp(alg: LieAlgebra, cd: CartanDecomposition,
+                         report: SubalgebraReport) -> None:
+    """Cross-check g(z) from the word echelon against the filtration over
+    F_p run on the same x and y; disagreement is a bug and raises
+    SoundnessError.  A full word span that the F_p pass leaves open (an
+    unlucky prime, or p dividing a denominator) is compared with the
+    exact filtration instead."""
+    n = alg.dim
+    ez = report.element
+    bound = _modp_bound(alg, ez.x, ez.y)
+    if bound is not None:
+        if report.dim != n:
+            raise SoundnessError(
+                f"the F_p filtration spans g but the word values span dim "
+                f"{report.dim} of {n}; the two disagree, which is a bug")
+        if report.stabilization_degree > bound:
+            raise SoundnessError(
+                f"the word values stabilize at degree "
+                f"{report.stabilization_degree}, past the F_p bound {bound}; "
+                "the two disagree, which is a bug")
+    elif report.dim == n:
+        exact = generated_subalgebra(alg, cd, ez.z).to_dict()
+        if exact != report.to_dict():
+            raise SoundnessError(
+                f"the exact filtration gives {exact} and the word values "
+                f"{report.to_dict()}; the two disagree, which is a bug")
+
+
 def _certify(alg: LieAlgebra, cd: CartanDecomposition,
              z: Sequence[Scalar]) -> GramCertificate:
     """Gram in the feasible mode with verdict k-regular or neither.
 
-    The rank verdict is cross-checked against dim g(z) from the same
-    certificate; disagreement is a bug and raises SoundnessError.
+    Full mode cross-checks its g(z) over F_p (_check_words_over_fp);
+    reduced mode checks the rank verdict against dim g(z) from the exact
+    filtration.  Disagreement is a bug and raises SoundnessError.
     """
     cert = gram_matrix(alg, cd, z, mode=_feasible_mode(alg))
-    dim_gz = cert.subalgebra.dim
     gram_says = cert.rank == alg.dim
-    if gram_says != (dim_gz == alg.dim):
+    if cert.mode == "full":
+        _check_words_over_fp(alg, cd, cert.subalgebra)
+    elif gram_says != (cert.subalgebra.dim == alg.dim):
         raise SoundnessError(
-            f"Gram rank {cert.rank} and filtration dim {dim_gz} disagree "
-            f"on regularity (dim g = {alg.dim}); this is a bug")
+            f"Gram rank {cert.rank} and filtration dim "
+            f"{cert.subalgebra.dim} disagree on regularity "
+            f"(dim g = {alg.dim}); this is a bug")
     cert.verdict = VERDICT_REGULAR if gram_says else VERDICT_NEITHER
     return cert
 
@@ -352,9 +464,9 @@ def is_k_regular(alg: LieAlgebra, cd: CartanDecomposition, z: Sequence[Scalar],
 
     A k-regular verdict carries as its witness the first dim g independent
     rows of the Gram and, within them, the first independent columns: a
-    nonsingular minor, principal since the Gram is symmetric.  Finding
-    them ends the elimination, since no Gram has rank above dim g; the
-    rows after them are never reduced.  jobs has no effect.
+    nonsingular minor, principal since the Gram is symmetric.  In full
+    mode both are the pivot words of the word echelon, found by
+    eliminating their Gram alone.  jobs has no effect.
     """
     _check_jobs(jobs)
     cert = _certify(alg, cd, z)

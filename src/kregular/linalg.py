@@ -22,14 +22,15 @@ order, followed where needed by its rref().  The witness of a rank is the
 first independent rows and, within them, the first independent columns.
 All of it is exact, so rank + nullity is an identity, not an
 approximation.  ModpSpan is the one elimination outside Q(i): the same
-add over the integers mod a prime, for certify.stabilization_bound.
+add over the integers mod a prime, for certify.stabilization_bound and
+the full-mode certificates' cross-check.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .scalar import ONE, ZERO, Scalar
 
@@ -243,21 +244,14 @@ class MatrixQ:
         return f"MatrixQ({self.rows}x{self.cols}: {body})"
 
 
-def rank_profile(m: MatrixQ, max_rank: Optional[int] = None) -> tuple:
+def rank_profile(m: MatrixQ) -> tuple:
     """(rank, pivot_rows, pivot_cols): the first independent rows and,
     within them, the first independent columns (the pivots of their
     echelon form).  They locate a nonsingular rank x rank minor, a
-    principal one when m is symmetric.
-
-    max_rank, when given, must be a proven bound on the rank of m, such as
-    dim g for a Gram V^T B V of dim g-vectors.  Elimination stops once it
-    has found that many independent rows; no later row can be independent,
-    so the profile is the one the full pass returns."""
+    principal one when m is symmetric."""
     span = EchelonSpan(m.cols)
     rows = []
     for i in range(m.rows):
-        if len(rows) == max_rank:
-            break
         if span.add(m.row(i)):
             rows.append(i)
     return len(rows), rows, [pc for pc, _ in span._reduced]

@@ -109,8 +109,10 @@ def count_filtrations(monkeypatch, *modules):
 
 
 def flip_regularity(monkeypatch):
-    """Make every filtration report claim the opposite of g(z) = g, so
-    the certificate's rank/dimension cross-check must fail."""
+    """Make every exact filtration report claim the opposite of g(z) = g,
+    so a reduced-mode certificate's rank/dimension cross-check, and a
+    full-mode certificate's fallback to the exact filtration, must fail.
+    Full-mode certificates on ordinary inputs run no exact filtration."""
     original = certify.generated_subalgebra
 
     def flipped(alg, cd, z):
@@ -119,6 +121,14 @@ def flip_regularity(monkeypatch):
         return dataclasses.replace(rep, dim=dim)
 
     monkeypatch.setattr(certify, "generated_subalgebra", flipped)
+
+
+def claim_modp_span_at_degree_one(monkeypatch):
+    """Make the F_p pass claim a full span at degree 1 for every element,
+    so every full-mode certificate's F_p cross-check must fail: a word
+    span below dim g contradicts the full F_p span, and a full one
+    stabilizes past degree 1."""
+    monkeypatch.setattr(certify, "_modp_bound", lambda alg, x, y: 1)
 
 
 @pytest.fixture(scope="session")

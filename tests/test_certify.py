@@ -727,20 +727,25 @@ def test_derived_series_on_arbitrary_sets_matches_reference(sl3):
 
 @pytest.mark.parametrize("case", ["sl2-full", "sl3-reduced"])
 def test_certificates_run_the_filtration_once(case, sl2, sl3, monkeypatch):
+    """A reduced-mode certificate runs the exact filtration once and
+    carries its report; a full-mode one runs none, and its word echelon
+    spans the same g(z) with the same dims."""
     if case == "sl2-full":
-        (alg, cd), z, mode = sl2, Z_REG, "full"
+        (alg, cd), z, mode, runs = sl2, Z_REG, "full", 0
     else:
         monkeypatch.setattr(certify, "GRAM_LIMIT", 0)
-        (alg, cd), z, mode = sl3, Z_SL3, "reduced"
+        (alg, cd), z, mode, runs = sl3, Z_SL3, "reduced", 1
     fresh = generated_subalgebra(alg, cd, z)
     calls = count_filtrations(monkeypatch)
     for func in (is_k_regular, nilcone_test):
         del calls[:]
         cert = func(alg, cd, z)
-        assert len(calls) == 1, func.__name__
+        assert len(calls) == runs, func.__name__
         assert cert.mode == mode
         assert cert.subalgebra.to_dict() == fresh.to_dict()
-        assert cert.subalgebra.basis == fresh.basis
+        assert cert.subalgebra.span.equals(fresh.span)
+        if mode == "reduced":
+            assert cert.subalgebra.basis == fresh.basis
 
 
 def test_certificate_dict_omits_the_subalgebra(sl2):
@@ -756,8 +761,14 @@ def test_certificate_dict_omits_the_subalgebra(sl2):
 @pytest.mark.parametrize("func", [is_k_regular, nilcone_test])
 def test_rank_dimension_disagreement_is_a_soundness_error(func, sl2,
                                                           monkeypatch):
+    """Reduced mode checks the Gram rank against the exact filtration's
+    dim; full mode runs no exact filtration on these inputs, so a flipped
+    filtration leaves its verdicts as they are."""
     alg, cd = sl2
     flip_regularity(monkeypatch)
+    assert func(alg, cd, Z_REG).verdict == "k-regular"
+    assert func(alg, cd, Z_NIL).verdict != "k-regular"
+    monkeypatch.setattr(certify, "GRAM_LIMIT", 0)
     for z in (Z_REG, Z_NIL):
         with pytest.raises(SoundnessError, match="disagree"):
             func(alg, cd, z)

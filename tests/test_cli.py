@@ -14,7 +14,7 @@ import kregular
 from kregular import io as kio
 from kregular.algebra import LieAlgebra
 from kregular.catalog import catalog_build
-from kregular import cli
+from kregular import certify, cli
 from kregular.cli import main
 from kregular.errors import SoundnessError
 from kregular.roots import catalog_datum
@@ -303,11 +303,20 @@ def test_verify_user_algebra_runs_datum_free_suites(runner, user_sl2):
 
 
 def test_regular_construct_certifies_once(runner, monkeypatch):
+    # one Gram certificate; in full mode it runs no exact filtration
     calls = count_filtrations(monkeypatch)
+    grams = []
+    original = certify.gram_matrix
+
+    def counting(*args, **kwargs):
+        grams.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(certify, "gram_matrix", counting)
     result = runner.invoke(main, ["regular", "construct", "-a", "sl3"])
     assert result.exit_code == 0
     assert json.loads(result.output)["certificate"]["verdict"] == "k-regular"
-    assert len(calls) == 1
+    assert (len(grams), len(calls)) == (1, 0)
 
 
 def test_nilcone_exit_codes(runner, z_regular, z_nil):

@@ -1,6 +1,6 @@
 """Differential tests of the Gaussian-integer Killing pairings and power
-traces, of the rank profile stopped at a proven bound, and of the k/p
-split.
+traces, of the certificate's elimination on the pivot words' Gram, and
+of the k/p split.
 
 The references are in-file copies of the code each kernel replaced: the
 Scalar Gram build (each vector paired with the Killing matrix applied to
@@ -8,9 +8,9 @@ the other through vec_dot, entry by entry, on and above the diagonal),
 the pairing of Scalar vectors that cleared them and the form on every
 call, the invariance residuals as one integer dot product each, the power
 traces of ad z from a running MatrixQ.matmul product, and decompose
-through the projections (1 +/- theta)/2.  ad_matrix's integer rows are
-tested against ad u built column by column from the Scalar bracket
-(conftest.scalar_ad).
+through the projections (1 +/- theta)/2 and through one Scalar theta
+matvec and a halving.  ad_matrix's integer rows are tested against ad u
+built column by column from the Scalar bracket (conftest.scalar_ad).
 """
 
 import random
@@ -314,44 +314,60 @@ def test_appendix_a_gram_matches_killing_pair_loop(su21, su21_datum):
                               alg.gaussian_killing()) == old
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
-    st.just(n),
-    st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n,
-             max_size=n),
-    st.lists(st.lists(entries, min_size=n, max_size=n).map(tuple),
-             min_size=0, max_size=9))))
-def test_bounded_rank_profile_matches_unbounded(case):
-    # G = V^T B V with V's columns of length n has rank at most n
-    n, b_rows, vectors = case
-    half = [[b_rows[i][j] if j <= i else b_rows[j][i] for j in range(n)]
-            for i in range(n)]
-    gram = pairing_matrix(_pairs(vectors), _cleared(MatrixQ.from_rows(half)))
-    assert rank_profile(gram, max_rank=n) == rank_profile(gram)
-
-
 def test_certificate_elimination_stops_at_dim_g(monkeypatch):
+    # a regular sl(3) certificate eliminates only the dim g x dim g Gram
+    # of its pivot words, not the 71 x 71 one it hashes, and finds there
+    # the profile that eliminating the whole Gram gives
     alg, cd = catalog_build("split-sl", 3)
     z = sample_element(alg, random.Random(2), 3)
-    bounds = []
+    sides = []
 
-    def recording(m, max_rank=None):
-        bounds.append(max_rank)
-        return rank_profile(m, max_rank=max_rank)
+    def recording(m):
+        sides.append((m.rows, m.cols))
+        return rank_profile(m)
 
     monkeypatch.setattr(certify, "rank_profile", recording)
     cert = certify.is_k_regular(alg, cd, z)
-    assert bounds == [alg.dim] and cert.rank == alg.dim
+    assert sides == [(alg.dim, alg.dim)] and cert.rank == alg.dim
     assert cert.gram.rows == 71
-    adds = []
-    add = linalg.EchelonSpan.add
+    assert rank_profile(cert.gram) == (cert.rank, cert.pivot_rows,
+                                       cert.pivot_cols)
 
-    def counting(self, v):
-        adds.append(v)
-        return add(self, v)
 
-    monkeypatch.setattr(linalg.EchelonSpan, "add", counting)
-    assert rank_profile(cert.gram, max_rank=alg.dim) == rank_profile(cert.gram)
-    # the bounded pass reduces the dim g witness rows only, the full pass
-    # every row
-    assert len(adds) == alg.dim + cert.gram.rows
+def _matvec_split(cd, z):
+    """(x, y) as decompose took them before the integer split: one Scalar
+    theta matvec, x = (z + theta z) / 2 and y = z - x."""
+    half = Scalar(Fraction(1, 2))
+    x = tuple((a + b) * half for a, b in zip(z, cd.theta.matvec(z)))
+    return x, tuple(a - b for a, b in zip(z, x))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_decompose_matches_matvec_split(su21, data):
+    alg, cd = data.draw(st.sampled_from((
+        (SL2, SL2_CD), (SL3, SL3_CD), (SL4, SL4_CD), su21,
+        (SL3_RESCALED, SL3_RESCALED_CD))))
+    z = tuple(data.draw(st.lists(entries, min_size=alg.dim,
+                                 max_size=alg.dim)))
+    ez = decompose(cd, z)
+    assert ez.z == z
+    assert (ez.x, ez.y) == _matvec_split(cd, z)
+    # equal as Fractions, so equal in lowest terms, as printed
+    assert [str(a) for a in ez.x + ez.y] \
+        == [str(a) for a in sum(_matvec_split(cd, z), ())]
+
+
+def test_theta_is_cleared_once_per_decomposition():
+    cd = rescaled_theta(SL3_CD, SCALES)
+    assert cd._gaussian_theta is None
+    z = sample_element(SL3, random.Random(4), 3)
+    first = decompose(cd, z)
+    cleared = cd._gaussian_theta
+    scale, rows = cleared
+    # the rescaled theta is a signed permutation with rational entries:
+    # one nonzero entry per row survives, over a common scale
+    assert scale > 1 and [len(r) for r in rows] == [1] * 8
+    assert decompose(cd, z) == first and cd._gaussian_theta is cleared
+    with pytest.raises(ValueError, match="dimension"):
+        decompose(cd, z[:-1])

@@ -28,8 +28,8 @@ import random
 from conftest import (
     SL4_NIL,
     Z_SL4_ZERO_GRAM,
+    claim_modp_span_at_degree_one,
     count_filtrations,
-    flip_regularity,
     matrix_element,
 )
 
@@ -182,8 +182,9 @@ def test_equivariance_oracle_catches_a_broken_integer_bracket(sl3,
 
 
 def test_nilcone_suite_records_a_soundness_error(sl2, monkeypatch):
+    # every sl(2) certificate is full mode, and fails its F_p cross-check
     alg, cd = sl2
-    flip_regularity(monkeypatch)
+    claim_modp_span_at_degree_one(monkeypatch)
     report = verify_suite(alg, cd, "nilcone", seed=0, samples=2)
     cartan = {r.name: r for r in report.records}["cartan-criterion"]
     assert cartan.failures == cartan.checks_run \
