@@ -2,9 +2,9 @@
 of a complexified Cartan decomposition g = k + p.
 
 Every verdict is exact over the Gaussian rationals: ranks are certified
-by exact division-based elimination over Fraction (linalg.EchelonSpan;
-its mod-p twin ModpSpan only proves the stabilization bound) with
-explicit nonsingular-minor witnesses, and nullcone membership by the
+by exact fraction-free elimination over the Gaussian integers
+(linalg.EchelonSpan; its mod-p twin ModpSpan only proves the
+stabilization bound) with explicit nonsingular-minor witnesses, and nullcone membership by the
 vanishing of an exact Gram matrix of Lyndon-word evaluations together
 with nilpotency of the adjoint actions.
 """

@@ -9,12 +9,11 @@ first use, for every Killing pairing of word values or basis vectors.
 Three brackets read the table.  gaussian_bracket works on vectors of
 (re, im) integer pairs, over the table cleared of denominators by their
 lcm S (LieAlgebra.gaussian_table, built on first use); Lyndon-word
-evaluation runs on it.  modp_bracket reduces that same cleared table mod
+evaluation and derived_series run on it.  modp_bracket reduces that same cleared table mod
 a prime p, with i sent to a square root of -1, for the filtration over
 F_p that proves the stabilization bound; its reduced table is built once
 per algebra and (p, s).  bracket works on Scalar vectors
-and serves the exact filtration, centralizer, derived series and
-validate().  ad_matrix builds
+and serves the exact filtration, centralizer and validate().  ad_matrix builds
 ad u over the Gaussian integers too, as (den, rows) with rows = den * ad u
 in (re, im) integer pairs, which the nilpotency tests, power traces and
 the invariance suite's equivariance oracle multiply as they are.  It walks

@@ -18,7 +18,11 @@ Gaussian-integer rows from ad_matrix.
 
 Reduced mode runs the exact filtration, generated_subalgebra.  Its
 degree 2 is the single bracket [y, x], the only first-step bracket that
-antisymmetry leaves able to enlarge span{x, y}.
+antisymmetry leaves able to enlarge span{x, y}.  Its span is _FractionSpan,
+the Fraction-backed echelon it alone keeps until ROADMAP item 2; every
+other elimination here (the word echelon, every rank profile, the
+derived series) runs on the Gaussian-integer EchelonSpan, and
+derived_series brackets over the Gaussian integers too.
 
 Full mode runs no exact filtration.  Evaluation at (x, y) is a Lie
 homomorphism and the Lyndon words of degree <= m span the free Lie
@@ -59,7 +63,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import islice
+from itertools import combinations, islice
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -70,6 +74,7 @@ from .algebra import (
     bracket,
     centralizer,
     decompose,
+    gaussian_bracket,
     modp_bracket,
 )
 from .errors import GramSizeError, SoundnessError
@@ -85,9 +90,8 @@ from .linalg import (
     nilpotency_exponent,
     pairing_matrix,
     rank_profile,
-    reduced_basis,
 )
-from .scalar import Scalar
+from .scalar import ONE, ZERO, Scalar
 from .words import WordEvaluator, lyndon_basis, witt_dimension
 
 # Largest full-mode Gram side: d(13) = 1377 fits and d(14) = 2538 does
@@ -123,7 +127,8 @@ class SubalgebraReport:
     """g(z) computed by the filtration g_{m+1} = g_m + [x, g_m] + [y, g_m],
     or in full mode by the echelon of the word values that spans each g_m.
 
-    span, the EchelonSpan that computed it, and element, the split
+    span, the echelon that computed it (the word echelon's EchelonSpan,
+    or the filtration's _FractionSpan), and element, the split
     z = x + y it started from, stay out of to_dict(), repr and equality;
     reduced_basis, its RREF rows computed on first use, is what span-only
     checks read instead of eliminating basis again, and certificates read
@@ -134,7 +139,7 @@ class SubalgebraReport:
     dim: int
     stabilization_degree: int
     per_degree_dims: list
-    span: EchelonSpan = field(repr=False, compare=False)
+    span: EchelonSpan | _FractionSpan = field(repr=False, compare=False)
     element: ElementZ = field(repr=False, compare=False)
 
     @cached_property
@@ -187,6 +192,81 @@ def _filtration(x, y, span, bracket_of, limit: int) -> Optional[tuple]:
     return per_degree, m
 
 
+class _FractionSpan:
+    """EchelonSpan as it stood over Fraction-backed Scalars, kept only for
+    generated_subalgebra until ROADMAP item 2 frees its peak-RSS bound.
+
+    Keeps the original inserted vectors (as a basis) alongside echelon
+    rows, sorted by pivot column, for fast reduction; rref() derives the
+    reduced form from those rows on demand.  A full span (dim = ambient_dim)
+    answers at once: contains is True and rref() the identity.
+    """
+
+    def __init__(self, ambient_dim: int):
+        self.ambient_dim = ambient_dim
+        self.basis = []  # vectors as inserted, linearly independent
+        self._reduced = []  # list of (pivot_index, row)
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    @property
+    def full(self) -> bool:
+        return len(self.basis) == self.ambient_dim
+
+    def _reduce(self, v: Sequence[Scalar]) -> list:
+        w = list(v)
+        for pc, row in self._reduced:
+            c = w[pc]
+            if c:
+                for j in range(pc, self.ambient_dim):
+                    w[j] = w[j] - c * row[j]
+        return w
+
+    def contains(self, v: Sequence[Scalar]) -> bool:
+        if len(v) != self.ambient_dim:
+            raise ValueError(f"expected length {self.ambient_dim}, got {len(v)}")
+        return self.full or all(not a for a in self._reduce(v))
+
+    def add(self, v: Sequence[Scalar]) -> bool:
+        """Insert v; returns True if it enlarged the span."""
+        if len(v) != self.ambient_dim:
+            raise ValueError(f"expected length {self.ambient_dim}, got {len(v)}")
+        w = self._reduce(v)
+        for pc in range(self.ambient_dim):
+            if w[pc]:
+                inv = w[pc].inverse()
+                row = [inv * a for a in w]
+                self._reduced.append((pc, row))
+                self._reduced.sort(key=lambda t: t[0])
+                self.basis.append(tuple(v))
+                return True
+        return False
+
+    def rref(self) -> tuple:
+        """(pivot_cols, rows) of the reduced row echelon form, which depends
+        only on the span; back-substitutes copies, leaving the span as is."""
+        pivots = [pc for pc, _ in self._reduced]
+        if self.full:
+            return pivots, [[ONE if i == j else ZERO for j in pivots] for i in pivots]
+        rows = [list(row) for _, row in self._reduced]
+        for k in range(len(rows) - 1, 0, -1):
+            pk, row_k = pivots[k], rows[k]
+            for row in rows[:k]:
+                c = row[pk]
+                if c:
+                    for j in range(pk, self.ambient_dim):
+                        row[j] = row[j] - c * row_k[j]
+        return pivots, rows
+
+    def equals(self, other) -> bool:
+        return (
+            self.dim == other.dim
+            and all(other.contains(v) for v in self.basis)
+        )
+
+
 def generated_subalgebra(alg: LieAlgebra, cd: CartanDecomposition,
                          z: Sequence[Scalar]) -> SubalgebraReport:
     """Iterate the filtration (see _filtration) from span{x, y} until it
@@ -197,7 +277,7 @@ def generated_subalgebra(alg: LieAlgebra, cd: CartanDecomposition,
     """
     ez = decompose(cd, z)
     n = alg.dim
-    span = EchelonSpan(n)
+    span = _FractionSpan(n)  # moves to EchelonSpan with ROADMAP item 2
     run = _filtration(ez.x, ez.y, span, partial(bracket, alg), max(n - 1, 1))
     if run is None:
         raise SoundnessError(
@@ -272,8 +352,7 @@ def _word_subalgebra(alg: LieAlgebra, ez: ElementZ,
     for group in lyndon_basis(limit + 1):
         dim = span.dim
         for w in group:
-            if not span.full and span.add(
-                    tuple(Scalar(re, im) for re, im in ev.gaussian_value(w)[1])):
+            if not span.full and span.add_row(ev.gaussian_value(w)[1]):
                 pivots.append(index)
             index += 1
         if per_degree and span.dim == dim:
@@ -504,30 +583,32 @@ def derived_series(alg: LieAlgebra, basis: Sequence) -> list:
     """Dims of D^0 >= D^1 >= ... with D^{k+1} = span[D^k, D^k], until stable.
 
     Only the spans matter, so each D^k is bracketed on the reduced echelon
-    basis of its span (see reduced_basis), whose entries stay small, not on
-    the vectors as given.  Raises ValueError if span(basis) is not closed
-    under the bracket; all of g is closed by definition, so a full span
-    skips that check, and each D^{k+1} stops bracketing once it is all of g.
+    basis of its span, whose entries stay small, cleared by the lcm of its
+    denominators and bracketed over the Gaussian integers (gaussian_bracket
+    returns S [u, v], a positive multiple with the same span).  Raises
+    ValueError if span(basis) is not closed under the bracket; all of g is
+    closed by definition, so a full span skips that check, and each D^{k+1}
+    stops bracketing once it is all of g.
     """
     n = alg.dim
     span = EchelonSpan(n)
     span.extend(basis)
-    current = [tuple(r) for r in span.rref()[1]]
+    current = gaussian_rows(span.rref()[1])[1]
     if not span.full:
         for u in current:
             for v in current:
-                if not span.contains(bracket(alg, u, v)):
+                if not span.contains_row(gaussian_bracket(alg, u, v)):
                     raise ValueError("basis is not closed under the bracket")
     dims = [len(current)]
     while True:
-        nxt = reduced_basis(
-            (bracket(alg, current[i], current[j])
-             for i in range(len(current)) for j in range(i + 1, len(current))),
-            n)
-        dims.append(len(nxt))
-        if len(nxt) == len(current) or not nxt:
+        span = EchelonSpan(n)
+        for u, v in combinations(current, 2):
+            if span.add_row(gaussian_bracket(alg, u, v)) and span.full:
+                break
+        dims.append(span.dim)
+        if span.dim == len(current) or not span.dim:
             return dims
-        current = nxt
+        current = gaussian_rows(span.rref()[1])[1]
 
 
 def _trace(rows: list, den: int) -> Scalar:

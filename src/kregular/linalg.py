@@ -15,15 +15,20 @@ and Lyndon-word evaluation use the same helpers.  nilpotency_exponent and
 is_nilpotent_matrix take a square matrix as (re, im) integer rows, such
 as the D ad u of algebra.ad_matrix, and power it over the Gaussian
 integers: (D m)^e = D^e m^e, so every zero test and exponent is that of
-m.  Elimination still runs over Scalars.
-Every rank, witness minor, reduced basis, nullspace, solve and
-span-membership test is an EchelonSpan pass over the rows in their given
-order, followed where needed by its rref().  The witness of a rank is the
-first independent rows and, within them, the first independent columns.
-All of it is exact, so rank + nullity is an identity, not an
-approximation.  ModpSpan is the one elimination outside Q(i): the same
-add over the integers mod a prime, for certify.stabilization_bound and
-the full-mode certificates' cross-check.
+m.
+
+Elimination runs over the Gaussian integers too.  Every rank, witness
+minor, reduced basis, nullspace, solve and span-membership test is an
+EchelonSpan pass over the rows in their given order, followed where
+needed by its rref(); EchelonSpan clears each vector once and eliminates
+fraction-free (Bareiss), and only rref() divides its rows back into
+Scalars.  The one elimination left on Fraction-backed Scalars is the
+reduced-mode filtration's certify._FractionSpan, until ROADMAP item 2.
+The witness of a rank is the first independent rows and, within them,
+the first independent columns.  All of it is exact, so rank + nullity is
+an identity, not an approximation.  ModpSpan is the one elimination
+outside Q(i): the same add over the integers mod a prime, for
+certify.stabilization_bound and the full-mode certificates' cross-check.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .errors import SoundnessError
 from .scalar import ONE, ZERO, Scalar
 
 Vector = tuple  # tuple[Scalar, ...]
@@ -254,7 +260,7 @@ def rank_profile(m: MatrixQ) -> tuple:
     for i in range(m.rows):
         if span.add(m.row(i)):
             rows.append(i)
-    return len(rows), rows, [pc for pc, _ in span._reduced]
+    return len(rows), rows, span.pivot_columns
 
 
 def rank_of(m: MatrixQ) -> int:
@@ -345,21 +351,76 @@ def nilpotency_exponent(rows: Sequence[Sequence[tuple]]):
     return e
 
 
+def _split(row: Sequence[tuple]) -> tuple:
+    """(re, im): a row of (re, im) integer pairs as two int lists."""
+    return [a for a, _ in row], [b for _, b in row]
+
+
+def _cleared(v: Sequence[Scalar]) -> tuple:
+    """(re, im): v times the lcm of its denominators, as two int lists;
+    gaussian_rows of the one vector without building its pairs, on the
+    path of every add and contains."""
+    scale = math.lcm(*{q.denominator for a in v for q in (a.re, a.im)})
+    if scale == 1:
+        return [a.re.numerator for a in v], [a.im.numerator for a in v]
+    return ([a.re.numerator * (scale // a.re.denominator) for a in v],
+            [a.im.numerator * (scale // a.im.denominator) for a in v])
+
+
+def _bareiss_step(xr: list, xi: list, ar: int, ai: int, pr: int, pi: int,
+                  rr: Sequence[int], ri: Sequence[int], qr: int, qi: int) -> None:
+    """x <- (p x - a row) / q in place, over Z[i]: x, row given as their
+    real and imaginary int lists, a = x[c] for the row's pivot column c,
+    p = row[c] and q the previous pivot (1 before the first).  Bareiss's
+    identity makes the division exact; a remainder means the stored
+    echelon is corrupt and raises SoundnessError."""
+    unit = not qi and qr in (1, -1)
+    # x / q = x conj(q) / |q|^2, or x / q itself for a real q
+    divisor = qr * qr + qi * qi if qi else qr
+    for j in range(len(xr)):
+        x_re, x_im, r_re, r_im = xr[j], xi[j], rr[j], ri[j]
+        if not (x_re or x_im or r_re or r_im):
+            continue
+        re = pr * x_re - pi * x_im - ar * r_re + ai * r_im
+        im = pr * x_im + pi * x_re - ar * r_im - ai * r_re
+        if unit:
+            xr[j], xi[j] = re * qr, im * qr
+            continue
+        if qi:
+            re, im = re * qr + im * qi, im * qr - re * qi
+        xr[j], rem_re = divmod(re, divisor)
+        xi[j], rem_im = divmod(im, divisor)
+        if rem_re or rem_im:
+            raise SoundnessError(
+                "inexact division in the fraction-free echelon; its stored "
+                "rows are corrupt, which is a bug")
+
+
 class EchelonSpan:
     """An incrementally built subspace with exact membership tests; the
-    package's only elimination routine over Q(i).
+    package's elimination kernel over Q(i), run fraction-free over Z[i].
 
-    Keeps the original inserted vectors (as a basis) alongside echelon
-    rows, sorted by pivot column, for fast reduction; rref() derives the
-    reduced form from those rows on demand.  A full span (dim = ambient_dim)
-    answers at once: contains is True, rref() the identity, and extend
-    pulls no more vectors, so a lazy generator of brackets stops.
+    basis keeps the vectors as inserted.  Each inserted vector is cleared
+    once by the lcm of its denominators and reduced against the rows
+    before it, in insertion order, by Bareiss's step
+    w <- (p_k w - w[c_k] row_k) / p_{k-1}, where c_k is row k's pivot
+    column (its first nonzero entry), p_k = row_k[c_k] and p_0 = 1 (Bareiss,
+    Math. Comp. 22, 1968).  Every entry stays a minor of the cleared
+    vectors, so the division is exact and the sizes stay bounded; the
+    reduced w is zero exactly when the vector lies in the span, and
+    otherwise becomes the next row.  The pivot columns are distinct, so
+    sorted they are those of the reduced row echelon form, which rref()
+    derives by the same step run upward (fraction-free Gauss-Jordan).  A
+    full span (dim = ambient_dim) answers at once: contains is True, rref()
+    the identity, and extend pulls no more vectors, so a lazy generator of
+    brackets stops.
     """
 
     def __init__(self, ambient_dim: int):
         self.ambient_dim = ambient_dim
         self.basis = []  # vectors as inserted, linearly independent
-        self._reduced = []  # list of (pivot_index, row)
+        # (c_k, re p_k, im p_k, re row_k, im row_k) in insertion order
+        self._rows = []
 
     @property
     def dim(self) -> int:
@@ -369,50 +430,83 @@ class EchelonSpan:
     def full(self) -> bool:
         return len(self.basis) == self.ambient_dim
 
-    def _reduce(self, v: Sequence[Scalar]) -> list:
-        w = list(v)
-        for pc, row in self._reduced:
-            c = w[pc]
-            if c:
-                for j in range(pc, self.ambient_dim):
-                    w[j] = w[j] - c * row[j]
-        return w
+    @property
+    def pivot_columns(self) -> list:
+        """The pivot columns of the echelon form, ascending."""
+        return sorted(row[0] for row in self._rows)
 
-    def contains(self, v: Sequence[Scalar]) -> bool:
+    def _check_length(self, v: Sequence) -> None:
         if len(v) != self.ambient_dim:
             raise ValueError(f"expected length {self.ambient_dim}, got {len(v)}")
-        return self.full or all(not a for a in self._reduce(v))
 
-    def add(self, v: Sequence[Scalar]) -> bool:
-        """Insert v; returns True if it enlarged the span."""
-        if len(v) != self.ambient_dim:
-            raise ValueError(f"expected length {self.ambient_dim}, got {len(v)}")
-        w = self._reduce(v)
-        for pc in range(self.ambient_dim):
-            if w[pc]:
-                inv = w[pc].inverse()
-                row = [inv * a for a in w]
-                self._reduced.append((pc, row))
-                self._reduced.sort(key=lambda t: t[0])
-                self.basis.append(tuple(v))
+    def _reduce(self, wr: list, wi: list) -> None:
+        """Reduce the cleared vector (wr, wi) against every row, in place."""
+        qr, qi = 1, 0
+        for c, pr, pi, rr, ri in self._rows:
+            _bareiss_step(wr, wi, wr[c], wi[c], pr, pi, rr, ri, qr, qi)
+            qr, qi = pr, pi
+
+    def _insert(self, wr: list, wi: list) -> bool:
+        self._reduce(wr, wi)
+        for c in range(self.ambient_dim):
+            if wr[c] or wi[c]:
+                self._rows.append((c, wr[c], wi[c], wr, wi))
                 return True
         return False
 
+    def _reduces_to_zero(self, wr: list, wi: list) -> bool:
+        self._reduce(wr, wi)
+        return not any(wr) and not any(wi)
+
+    def contains(self, v: Sequence[Scalar]) -> bool:
+        self._check_length(v)
+        return self.full or self._reduces_to_zero(*_cleared(v))
+
+    def contains_row(self, row: Sequence[tuple]) -> bool:
+        """contains for the vector given as (re, im) integer pairs; any
+        positive multiple of a vector has its answer."""
+        self._check_length(row)
+        return self.full or self._reduces_to_zero(*_split(row))
+
+    def add(self, v: Sequence[Scalar]) -> bool:
+        """Insert v; returns True if it enlarged the span."""
+        self._check_length(v)
+        if self.full or not self._insert(*_cleared(v)):
+            return False
+        self.basis.append(tuple(v))
+        return True
+
+    def add_row(self, row: Sequence[tuple]) -> bool:
+        """add for the vector given as (re, im) integer pairs, which joins
+        basis as Scalars when it enlarges the span."""
+        self._check_length(row)
+        if self.full or not self._insert(*_split(row)):
+            return False
+        self.basis.append(tuple(Scalar(a, b) for a, b in row))
+        return True
+
     def rref(self) -> tuple:
         """(pivot_cols, rows) of the reduced row echelon form, which depends
-        only on the span; back-substitutes copies, leaving the span as is."""
-        pivots = [pc for pc, _ in self._reduced]
+        only on the span; works on copies, leaving the span as is.
+
+        Running the step upward over the rows, each row i < k by row k,
+        leaves row i as p_r times its reduced row (p_r the last pivot), so
+        each entry is divided by p_r once, at the end.
+        """
+        pivots = self.pivot_columns
         if self.full:
             return pivots, [[ONE if i == j else ZERO for j in pivots] for i in pivots]
-        rows = [list(row) for _, row in self._reduced]
-        for k in range(len(rows) - 1, 0, -1):
-            pk, row_k = pivots[k], rows[k]
-            for row in rows[:k]:
-                c = row[pk]
-                if c:
-                    for j in range(pk, self.ambient_dim):
-                        row[j] = row[j] - c * row_k[j]
-        return pivots, rows
+        rows = [(c, list(rr), list(ri)) for c, _, _, rr, ri in self._rows]
+        qr, qi = 1, 0
+        for k, (c, pr, pi, rr, ri) in enumerate(self._rows):
+            for _, xr, xi in rows[:k]:
+                _bareiss_step(xr, xi, xr[c], xi[c], pr, pi, rr, ri, qr, qi)
+            qr, qi = pr, pi
+        # x / p_r = x conj(p_r) / |p_r|^2
+        norm = qr * qr + qi * qi
+        rows.sort(key=lambda t: t[0])
+        return pivots, [[gaussian_scalar((a * qr + b * qi, b * qr - a * qi), norm)
+                         for a, b in zip(xr, xi)] for _, xr, xi in rows]
 
     def extend(self, vectors: Iterable) -> None:
         if not self.full:

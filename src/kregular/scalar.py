@@ -1,7 +1,8 @@
 """Exact Gaussian-rational scalars: a + b*i with a, b rational.
 
-Inputs, reports and elimination use this class; bulk products run on
-(re, im) integer pairs, and the stabilization bound mod a prime.
+Inputs, reports and the reduced-mode filtration use this class; bulk
+products and elimination run on (re, im) integer pairs, and the
+stabilization bound mod a prime.
 Nothing is ever rounded.  Both parts are fractions.Fraction.
 """
 

@@ -677,6 +677,49 @@ def test_kernel_modules_define_no_unused_public_function():
     assert not unread - UNREAD_EXEMPT
 
 
+def _references(trees, name):
+    """(file, top-level definition) of every read of name in trees, as a
+    name or an attribute, leaving out annotations and the definition of
+    name itself."""
+    found = set()
+    for path, tree in trees.items():
+        annotations = {id(n) for node in ast.walk(tree)
+                       for ann in (getattr(node, "annotation", None),
+                                   getattr(node, "returns", None)) if ann
+                       for n in ast.walk(ann)}
+        for top in tree.body:
+            if getattr(top, "name", None) == name:
+                continue
+            for n in ast.walk(top):
+                if id(n) not in annotations and name in (
+                        getattr(n, "id", None), getattr(n, "attr", None)):
+                    found.add((path.name, getattr(top, "name", None)))
+    return found
+
+
+def test_fraction_span_has_one_caller():
+    """certify._FractionSpan, the Fraction-backed echelon kept for the
+    reduced-mode filtration until ROADMAP item 2, is read only in
+    generated_subalgebra; every other elimination runs on EchelonSpan."""
+    assert _references(_system_trees(), "_FractionSpan") == {
+        ("certify.py", "generated_subalgebra")}
+
+
+def test_reference_scan_sees_names_attributes_and_skips_annotations():
+    tree = ast.parse(
+        "class _S:\n"
+        "    pass\n"
+        "x: _S = None\n"
+        "def f(a: _S) -> _S:\n"
+        "    return _S()\n"
+        "def g():\n"
+        "    return mod._S\n"
+        "def h(b: _S):\n"
+        "    pass\n")
+    assert _references({Path("m.py"): tree}, "_S") == {("m.py", "f"),
+                                                        ("m.py", "g")}
+
+
 def test_package_exports_only_names_the_system_reads():
     """Every __all__ entry but __version__ is read outside __init__.py
     in the package, the benchmark or the demos, or traced by name."""

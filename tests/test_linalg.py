@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kregular.catalog import catalog_build
+from kregular.errors import SoundnessError
 from kregular.linalg import (
     EchelonSpan,
     MatrixQ,
@@ -525,25 +526,30 @@ def test_rank_matches_sympy(m):
 def test_rref_leaves_the_span_unchanged():
     span = EchelonSpan(3)
     span.extend([(ONE, Scalar(2), ZERO), (ONE, ZERO, ONE)])
-    before = [list(row) for _, row in span._reduced]
+    before = (list(span.basis), span.pivot_columns)
     pivots, rows = span.rref()
     assert pivots == [0, 1]
     assert rows == [[ONE, ZERO, ONE], [ZERO, ONE, Scalar(Fraction(-1, 2))]]
-    assert [list(row) for _, row in span._reduced] == before
+    assert (span.basis, span.pivot_columns) == before
+    # the rows are copies, and the echelon behind them is intact
+    rows[0][0] = ZERO
+    assert span.rref() == (pivots, [[ONE, ZERO, ONE],
+                                    [ZERO, ONE, Scalar(Fraction(-1, 2))]])
+    assert span.contains((Scalar(3), Scalar(2), Scalar(2)))
+    assert not span.contains((ZERO, ZERO, ONE))
     assert span.add((ZERO, ZERO, ONE)) and span.rref()[1] == [
         [ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]
 
 
-def _back_substituted_rref(span):
-    """The back-substitution rref() runs on spans that are not full."""
-    pivots = [pc for pc, _ in span._reduced]
-    rows = [list(row) for _, row in span._reduced]
-    for k in range(len(rows) - 1, 0, -1):
-        for row in rows[:k]:
-            c = row[pivots[k]]
-            if c:
-                row[:] = [a - c * b for a, b in zip(row, rows[k])]
-    return pivots, rows
+def _back_substituted_rref(m):
+    """The back-substituted rref() of m's rows, through a span that is
+    never full: each row gets a zero last coordinate, which the result
+    drops again."""
+    span = EchelonSpan(m.cols + 1)
+    span.extend(m.row(i) + (ZERO,) for i in range(m.rows))
+    assert not span.full
+    pivots, rows = span.rref()
+    return pivots, [row[:-1] for row in rows]
 
 
 nonzero_gaussians = gaussian_rationals.filter(bool)
@@ -567,7 +573,7 @@ def test_full_span_rref_is_the_back_substituted_rref(m):
     span = EchelonSpan(m.cols)
     span.extend(m.row(i) for i in range(m.rows))
     assert span.full
-    assert span.rref() == _back_substituted_rref(span)
+    assert span.rref() == _back_substituted_rref(m)
     assert [tuple(r) for r in span.rref()[1]] == _old_reduced_basis(
         [m.row(i) for i in range(m.rows)], m.cols)
 
@@ -769,3 +775,233 @@ def test_gaussian_matmul_matches_matmul(m, data):
     product = gaussian_matmul(a, b)
     assert [[gaussian_scalar(z, d * e) for z in row] for row in product] \
         == [list(m.matmul(other).row(i)) for i in range(m.rows)]
+
+
+# Differential tests: EchelonSpan runs fraction-free over the Gaussian
+# integers.  The in-file copy below is the Fraction-backed EchelonSpan it
+# replaced, with rank_profile, nullspace_of and solve_in_span as they ran
+# on it, and serves as the reference; sympy's Gaussian-rational RREF is a
+# third oracle.
+
+class _FractionEchelonSpan:
+    def __init__(self, ambient_dim):
+        self.ambient_dim = ambient_dim
+        self.basis = []
+        self._reduced = []  # list of (pivot_index, row), sorted by pivot
+
+    @property
+    def dim(self):
+        return len(self.basis)
+
+    @property
+    def full(self):
+        return len(self.basis) == self.ambient_dim
+
+    def _reduce(self, v):
+        w = list(v)
+        for pc, row in self._reduced:
+            c = w[pc]
+            if c:
+                for j in range(pc, self.ambient_dim):
+                    w[j] = w[j] - c * row[j]
+        return w
+
+    def contains(self, v):
+        return self.full or all(not a for a in self._reduce(v))
+
+    def add(self, v):
+        w = self._reduce(v)
+        for pc in range(self.ambient_dim):
+            if w[pc]:
+                inv = w[pc].inverse()
+                self._reduced.append((pc, [inv * a for a in w]))
+                self._reduced.sort(key=lambda t: t[0])
+                self.basis.append(tuple(v))
+                return True
+        return False
+
+    def rref(self):
+        pivots = [pc for pc, _ in self._reduced]
+        if self.full:
+            return pivots, [[ONE if i == j else ZERO for j in pivots] for i in pivots]
+        rows = [list(row) for _, row in self._reduced]
+        for k in range(len(rows) - 1, 0, -1):
+            pk, row_k = pivots[k], rows[k]
+            for row in rows[:k]:
+                c = row[pk]
+                if c:
+                    for j in range(pk, self.ambient_dim):
+                        row[j] = row[j] - c * row_k[j]
+        return pivots, rows
+
+
+def _fraction_span(m):
+    span = _FractionEchelonSpan(m.cols)
+    for i in range(m.rows):
+        span.add(m.row(i))
+    return span
+
+
+def _fraction_rank_profile(m):
+    span = _FractionEchelonSpan(m.cols)
+    rows = [i for i in range(m.rows) if span.add(m.row(i))]
+    return len(rows), rows, [pc for pc, _ in span._reduced]
+
+
+def _fraction_nullspace_of(m):
+    pivots, rows = _fraction_span(m).rref()
+    basis = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        v = [ZERO] * m.cols
+        v[f] = ONE
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[f]
+        basis.append(tuple(v))
+    return basis
+
+
+def _fraction_solve_in_span(basis, v):
+    n = basis.cols
+    augmented = MatrixQ.from_rows([basis.row(i) + (v[i],)
+                                   for i in range(basis.rows)])
+    pivots, rows = _fraction_span(augmented).rref()
+    if n in pivots:
+        return None
+    coeffs = [ZERO] * n
+    for row, pc in zip(rows, pivots):
+        coeffs[pc] = row[n]
+    return tuple(coeffs)
+
+
+# about 700-bit Gaussian integers and rationals, as the benchmark's wide
+# class reaches in its Gram entries
+wide_gaussians = st.builds(
+    lambda a, b, c, d: Scalar(Fraction(a, b), Fraction(c, d)),
+    st.integers(-2 ** 700, 2 ** 700), st.sampled_from((1, 1, 3, 2 ** 20 - 3)),
+    st.integers(-2 ** 700, 2 ** 700), st.sampled_from((1, 1, 7, 2 ** 19 + 1)))
+
+
+@st.composite
+def span_matrices(draw, max_side=6):
+    """Rows that are drawn (small Gaussian rationals, or about 700 bits),
+    zero, a duplicate of an earlier row, or a combination of two, so most
+    matrices are rank-deficient."""
+    nr = draw(st.integers(1, max_side))
+    nc = draw(st.integers(1, max_side))
+    scalars = draw(st.sampled_from((entries, st.one_of(
+        st.just(ZERO), wide_gaussians), st.one_of(entries, wide_gaussians))))
+    rows = []
+    for i in range(nr):
+        kind = draw(st.sampled_from(("drawn", "drawn", "zero", "duplicate",
+                                     "combination")))
+        if kind == "zero":
+            rows.append([ZERO] * nc)
+        elif kind == "duplicate" and rows:
+            rows.append(list(rows[draw(st.integers(0, i - 1))]))
+        elif kind == "combination" and rows:
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            a, b = draw(scalars), draw(scalars)
+            rows.append([a * x + b * y for x, y in zip(rows[j], rows[k])])
+        else:
+            rows.append(draw(st.lists(scalars, min_size=nc, max_size=nc)))
+    return MatrixQ.from_rows(rows)
+
+
+def _inside_and_drawn(m, data):
+    """A combination of m's rows, and a drawn vector of their length."""
+    inside = linear_combination(
+        data.draw(st.lists(gaussian_rationals, min_size=m.rows,
+                           max_size=m.rows)),
+        [m.row(i) for i in range(m.rows)], m.cols)
+    drawn = tuple(data.draw(st.lists(entries, min_size=m.cols,
+                                     max_size=m.cols)))
+    return inside, drawn
+
+
+@settings(max_examples=200, deadline=None)
+@given(span_matrices(), st.data())
+def test_echelon_span_matches_the_fraction_span(m, data):
+    new, old = EchelonSpan(m.cols), _FractionEchelonSpan(m.cols)
+    for i in range(m.rows):
+        assert new.add(m.row(i)) == old.add(m.row(i))
+        assert (new.dim, new.full) == (old.dim, old.full)
+    assert new.basis == old.basis
+    assert new.pivot_columns == [pc for pc, _ in old._reduced]
+    assert new.rref() == old.rref()
+    inside, drawn = _inside_and_drawn(m, data)
+    assert new.contains(inside) and old.contains(inside)
+    assert new.contains(drawn) == old.contains(drawn)
+    assert rank_profile(m) == _fraction_rank_profile(m)
+    assert nullspace_of(m) == _fraction_nullspace_of(m)
+    # columns of m as the span basis: a combination of them, and not
+    column_mix = linear_combination(
+        [Scalar(j + 1, -j) for j in range(m.cols)],
+        [m.column(j) for j in range(m.cols)], m.rows)
+    outside = tuple(Scalar(i * i - 2, 1) for i in range(m.rows))
+    for v in (column_mix, outside):
+        assert solve_in_span(m, v) == _fraction_solve_in_span(m, v)
+    assert solve_in_span(m, column_mix) is not None
+
+
+@settings(max_examples=100, deadline=None)
+@given(span_matrices(), st.data())
+def test_integer_rows_enter_the_span_as_their_scalars(m, data):
+    """add_row and contains_row on the cleared rows answer as add and
+    contains on the Scalar rows; basis keeps each added row's Scalars."""
+    _, rows = gaussian_rows(m.row(i) for i in range(m.rows))
+    by_rows, by_scalars = EchelonSpan(m.cols), EchelonSpan(m.cols)
+    added = []
+    for i, row in enumerate(rows):
+        if by_rows.add_row(row):
+            added.append(i)
+        assert by_scalars.add(m.row(i)) == (added[-1:] == [i])
+    assert by_rows.pivot_columns == by_scalars.pivot_columns
+    assert by_rows.rref() == by_scalars.rref()
+    assert by_rows.basis == [tuple(Scalar(re, im) for re, im in rows[i])
+                             for i in added]
+    for v in _inside_and_drawn(m, data):
+        _, (row,) = gaussian_rows((v,))
+        assert by_rows.contains_row(row) == by_scalars.contains(v)
+
+
+def _sympy_rref(m):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    def gaussian(s):
+        return sympy.QQ_I(sympy.QQ(s.re.numerator, s.re.denominator),
+                          sympy.QQ(s.im.numerator, s.im.denominator))
+
+    def scalar(e):
+        return Scalar(Fraction(int(e.x.numerator), int(e.x.denominator)),
+                      Fraction(int(e.y.numerator), int(e.y.denominator)))
+
+    dm = DomainMatrix([[gaussian(m[i, j]) for j in range(m.cols)]
+                       for i in range(m.rows)], (m.rows, m.cols), sympy.QQ_I)
+    reduced, pivots = dm.rref()
+    return list(pivots), [[scalar(e) for e in row]
+                          for row in reduced.to_list()[:len(pivots)]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(span_matrices(max_side=5))
+def test_echelon_span_matches_sympy(m):
+    pivots, rows = _sympy_rref(m)
+    span = EchelonSpan(m.cols)
+    span.extend(m.row(i) for i in range(m.rows))
+    assert span.rref() == (pivots, rows)
+    assert rank_of(m) == len(pivots)
+
+
+def test_inexact_division_is_a_soundness_error():
+    span = EchelonSpan(3)
+    span.extend([(ONE, ZERO, ZERO), (ZERO, ONE, ZERO)])
+    assert span.contains((ONE, ONE, ZERO))
+    # claim the first pivot is 2: reducing (1, 1, 0) by the second row
+    # then divides (1, 0, 0) by it
+    c, _, pi, rr, ri = span._rows[0]
+    span._rows[0] = (c, 2, pi, rr, ri)
+    with pytest.raises(SoundnessError, match="inexact division"):
+        span.contains((ONE, ONE, ZERO))
+    with pytest.raises(SoundnessError, match="inexact division"):
+        span.rref()

@@ -53,7 +53,7 @@ def _bounded_rank_profile(m, max_rank):
             break
         if span.add(m.row(i)):
             rows.append(i)
-    return len(rows), rows, [pc for pc, _ in span._reduced]
+    return len(rows), rows, span.pivot_columns
 
 
 def _old_gram_matrix(alg, cd, z, cap):
